@@ -13,7 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include "cat/eval.hh"
-#include "exec/engine_config.hh"
+#include "exec/rf_engine.hh"
 #include "litmus/parser.hh"
 #include "lkmm/catalog.hh"
 #include "lkmm/runner.hh"
@@ -21,6 +21,7 @@
 #include "model/lkmm_model.hh"
 #include "model/power_model.hh"
 #include "sim/machine.hh"
+#include "support/unsaturated_model.hh"
 
 namespace
 {
@@ -81,24 +82,27 @@ BENCHMARK(BM_EnumerateCandidates);
 
 /**
  * End-to-end candidate throughput over the whole Table 5 catalog.
- * Arg 0: engine — 0 brute force, 1 incremental without the arena
- * (the PR-5 baseline), 2 incremental with arena-backed relations
- * (the default engine).  CI gates 1-vs-0 and 2-vs-1 from
- * BENCH_enumerate.json.
+ * Arg 0: engine — 0 the brute-force reference, 1 rf-first with no
+ * saturation support (the staged, arena-backed engine alone).  Both
+ * deliver the same candidate stream, so items/s compare directly;
+ * CI gates 1-vs-0 from BENCH_enumerate.json.
  */
 void
 BM_EnumerateCatalog(benchmark::State &state)
 {
-    EnumerateOptions opts;
-    opts.prune = state.range(0) != 0;
-    opts.arena = state.range(0) == 2;
     std::vector<CatalogEntry> entries = table5();
     std::size_t candidates = 0;
+    const auto enumerate = [&](auto &&en) {
+        en.forEach([](const CandidateExecution &) { return true; });
+        candidates += en.stats().candidates;
+    };
     for (auto _ : state) {
         for (const CatalogEntry &entry : entries) {
-            Enumerator en(entry.prog, opts);
-            en.forEach([](const CandidateExecution &) { return true; });
-            candidates += en.stats().candidates;
+            if (state.range(0) == 0)
+                enumerate(Enumerator(entry.prog));
+            else
+                enumerate(RfFirstEngine(entry.prog,
+                                        RunBudget::unlimited(), {}, {}));
         }
     }
     benchmark::DoNotOptimize(candidates);
@@ -107,7 +111,6 @@ BM_EnumerateCatalog(benchmark::State &state)
 BENCHMARK(BM_EnumerateCatalog)
     ->Arg(0)
     ->Arg(1)
-    ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 /**
@@ -140,29 +143,31 @@ threadBucket(int threads)
 /**
  * End-to-end verification (enumeration plus model checking, full
  * verdict) under the lkmm model, as a thread-count scaling curve.
- * Arg 0: engine — 0 brute force, 1 incremental (the default),
- * 2 rf-first.  Arg 1: thread-count bucket (2/3/4/5).  This is
- * deliberately runTest and not bare enumeration: rf-first's win is
- * the model checks it never issues for saturation-rejected rf
- * assignments, so an enumeration-only benchmark would hide it.  CI
- * gates rf-first >= 2x incremental on the combined 4+-thread bucket
- * from BENCH_enumerate.json.
+ * Arg 0: engine — 0 brute force, 1 rf-first with saturation
+ * support withdrawn, 2 rf-first (the default).  Arg 1: thread-count
+ * bucket (2/3/4/5).  This is deliberately runTest and not bare
+ * enumeration: saturation's win is the model checks it never issues
+ * for rejected rf assignments, so an enumeration-only benchmark
+ * would hide it.  CI gates rf-first >= 2x the support-withdrawn
+ * column on the combined 4+-thread bucket from BENCH_enumerate.json.
  */
 void
 BM_VerifyScale(benchmark::State &state)
 {
-    static const char *const modes[] = {"brute", "incremental",
-                                        "rf-first"};
-    EngineConfig cfg;
-    cfg.setMode(modes[state.range(0)]);
     const std::vector<Program> &progs =
         threadBucket(static_cast<int>(state.range(1)));
-    LkmmModel model;
+    EnumerateOptions opts;
+    opts.rfFirst = state.range(0) != 0;
+    LkmmModel lkmm;
+    UnsaturatedModel unsaturated(lkmm);
+    const Model &model =
+        state.range(0) == 1 ? static_cast<const Model &>(unsaturated)
+                            : lkmm;
     std::size_t candidates = 0;
     for (auto _ : state) {
         for (const Program &p : progs) {
-            RunResult res = runTest(p, model, RunBudget::unlimited(),
-                                    cfg.enumerate);
+            RunResult res =
+                runTest(p, model, RunBudget::unlimited(), opts);
             candidates += res.candidates;
         }
     }

@@ -4,71 +4,48 @@
  *
  * Usage:
  *   lkmm_herd [options] test.litmus
- *     --model NAME   lkmm (default), sc, tso, power, armv7, armv8,
- *                    alpha, c11
- *     --cat FILE     use a cat model file instead
- *     --all          run every built-in model and print a matrix
+ *     --model SPEC   a registry model name or alias (lkmm, the
+ *                    default; sc, tso/x86, power, armv7, armv8,
+ *                    alpha, c11) or cat:FILE
+ *     --cat FILE     shorthand for --model cat:FILE
+ *     --all          run every registry model and print a matrix
  *     --sim NAME     also run the operational machine NAME
  *                    (sc, x86, armv8, power8, armv7)
  *     --runs N       iterations for --sim (default 100000)
  *     --verbose      print allowed final states and the witness or
  *                    violated axiom
+ *     --dot          print the witness (or first candidate) as dot
+ *     --engine ...   the shared engine flags (EngineConfig)
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 
 #include "base/logging.hh"
 #include "base/strutil.hh"
-#include "cat/eval.hh"
+#include "exec/engine_config.hh"
 #include "litmus/parser.hh"
 #include "lkmm/dot.hh"
 #include "lkmm/runner.hh"
-#include "model/alpha_model.hh"
-#include "model/armv8_model.hh"
 #include "model/c11_model.hh"
-#include "model/lkmm_model.hh"
-#include "model/power_model.hh"
-#include "model/sc_model.hh"
-#include "model/tso_model.hh"
+#include "model/registry.hh"
 #include "sim/machine.hh"
 
 namespace
 {
 
-std::unique_ptr<lkmm::Model>
-makeModel(const std::string &name)
-{
-    using namespace lkmm;
-    if (name == "lkmm")
-        return std::make_unique<LkmmModel>();
-    if (name == "sc")
-        return std::make_unique<ScModel>();
-    if (name == "tso" || name == "x86")
-        return std::make_unique<TsoModel>();
-    if (name == "power")
-        return std::make_unique<PowerModel>();
-    if (name == "armv7")
-        return std::make_unique<PowerModel>(PowerModel::Flavor::Armv7);
-    if (name == "armv8")
-        return std::make_unique<Armv8Model>();
-    if (name == "alpha")
-        return std::make_unique<AlphaModel>();
-    if (name == "c11")
-        return std::make_unique<C11Model>();
-    return nullptr;
-}
-
 int
 usage()
 {
     std::fprintf(stderr,
-                 "usage: lkmm_herd [--model NAME | --cat FILE] "
-                 "[--all] [--sim NAME --runs N] [--verbose] "
-                 "test.litmus\n");
+                 "usage: lkmm_herd [--model SPEC | --cat FILE] "
+                 "[--all] [--sim NAME --runs N] [--verbose] [--dot] "
+                 "[engine flags] test.litmus\n"
+                 "models:\n%s%s",
+                 lkmm::ModelRegistry::instance().helpText().c_str(),
+                 lkmm::EngineConfig::flagHelp());
     return 2;
 }
 
@@ -79,8 +56,8 @@ main(int argc, char **argv)
 {
     using namespace lkmm;
 
-    std::string model_name = "lkmm";
-    std::string cat_file;
+    std::string model_spec = "lkmm";
+    EngineConfig engine;
     std::string sim_name;
     std::string litmus_file;
     std::uint64_t runs = 100000;
@@ -96,9 +73,9 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--model")
-            model_name = next();
+            model_spec = next();
         else if (arg == "--cat")
-            cat_file = next();
+            model_spec = "cat:" + next();
         else if (arg == "--sim")
             sim_name = next();
         else if (arg == "--runs")
@@ -109,7 +86,15 @@ main(int argc, char **argv)
             verbose = true;
         else if (arg == "--dot")
             dot = true;
-        else if (arg.rfind("--", 0) == 0)
+        else if (arg.rfind("--engine", 0) == 0) {
+            try {
+                if (!engine.parseFlag(arg, next))
+                    return usage();
+            } catch (const FatalError &err) {
+                std::fprintf(stderr, "error: %s\n", err.what());
+                return 2;
+            }
+        } else if (arg.rfind("--", 0) == 0)
             return usage();
         else
             litmus_file = arg;
@@ -124,33 +109,28 @@ main(int argc, char **argv)
                     prog.quantifier == Quantifier::Exists ? "exists"
                                                           : "forall");
 
+        const ModelRegistry &registry = ModelRegistry::instance();
         if (all_models) {
-            for (const char *name :
-                 {"sc", "tso", "alpha", "armv8", "armv7", "power",
-                  "lkmm", "c11"}) {
-                auto model = makeModel(name);
-                if (std::string(name) == "c11" &&
-                    !C11Model::supports(prog)) {
-                    std::printf("  %-8s -\n", name);
+            for (const ModelInfo &info : registry.listModels()) {
+                // C11 has no counterpart for the RCU primitives
+                // (Table 5: "-").
+                if (info.name == "c11" && !C11Model::supports(prog)) {
+                    std::printf("  %-8s -\n", info.name.c_str());
                     continue;
                 }
-                std::printf("  %-8s %s\n", name,
-                            verdictName(quickVerdict(prog, *model)));
+                const Verdict v =
+                    quickVerdict(prog, *registry.make(info.name),
+                                 engine.budget, engine.enumerate);
+                std::printf("  %-8s %s\n", info.name.c_str(),
+                            verdictName(v));
             }
             return 0;
         }
 
-        std::unique_ptr<Model> model;
-        if (!cat_file.empty()) {
-            model = std::make_unique<CatModel>(
-                CatModel::fromFile(cat_file));
-        } else {
-            model = makeModel(model_name);
-            if (!model)
-                return usage();
-        }
-
-        RunResult res = runTest(prog, *model);
+        const std::unique_ptr<Model> model =
+            registry.factoryFor(model_spec)();
+        RunResult res =
+            runTest(prog, *model, engine.budget, engine.enumerate);
         std::printf("model %s: %s\n", model->name().c_str(),
                     verdictName(res.verdict));
         std::printf("candidates %zu, allowed %zu, witnesses %zu\n",

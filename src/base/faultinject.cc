@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cerrno>
 #include <csignal>
-#include <cstdio>
 #include <cstdlib>
 #include <ctime>
 #include <mutex>
@@ -49,64 +48,18 @@ std::vector<ActivePlan> g_plans;
 /** Passages of any planned site (the planHits() diagnostic). */
 std::uint64_t g_plan_hits = 0;
 
-/** Parse LKMM_FAULT_INJECT/... once, on first use of any point. */
+/** Parse the LKMM_FAULT_* variables once, on first use of any point. */
 std::once_flag g_env_once;
-
-/**
- * The LKMM_FAULT_INJECT deprecation shim.  The soft legacy points
- * are registry sites, so "litmus-parse,cat-eval" translates exactly
- * to the plans "litmus-parse:1:error,cat-eval:1:error"; the crash
- * points (crash-segv, crash-abort, hang) have no registry site and
- * different semantics than any FaultKind (SIGSEGV / abort() vs the
- * plan Crash's SIGKILL), so they stay on the legacy arming path.
- * Returns the plans; arms the crash points directly.
- */
-std::vector<FaultPlan>
-shimLegacyEnvSpec(const std::string &spec)
-{
-    std::fprintf(
-        stderr,
-        "lkmm: warning: LKMM_FAULT_INJECT is deprecated and will be "
-        "removed in the next release; use "
-        "LKMM_FAULT_PLAN=site:hit:kind[:tornBytes][,...] instead\n");
-    std::vector<FaultPlan> plans;
-    std::string crashPoints;
-    for (const std::string &piece : split(spec, ',')) {
-        const std::string name = trim(piece);
-        if (name.empty())
-            continue;
-        if (findSite(name)) {
-            FaultPlan p;
-            p.site = name;
-            plans.push_back(p);
-        } else {
-            if (!crashPoints.empty())
-                crashPoints += ',';
-            crashPoints += name; // armFromSpec rejects unknown names
-        }
-    }
-    if (!crashPoints.empty())
-        armFromSpec(crashPoints);
-    return plans;
-}
 
 void
 armFromEnv()
 {
-    std::vector<FaultPlan> plans;
-    const char *spec = std::getenv("LKMM_FAULT_INJECT");
-    if (spec && *spec)
-        plans = shimLegacyEnvSpec(spec);
     const char *filter = std::getenv("LKMM_FAULT_INJECT_FILTER");
     if (filter && *filter)
         setFilter(filter);
     const char *plan = std::getenv("LKMM_FAULT_PLAN");
-    if (plan && *plan) {
-        for (FaultPlan &p : FaultPlan::parseList(plan))
-            plans.push_back(std::move(p));
-    }
-    if (!plans.empty())
-        setPlans(plans);
+    if (plan && *plan)
+        setPlans(FaultPlan::parseList(plan));
 }
 
 bool

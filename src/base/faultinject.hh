@@ -10,8 +10,8 @@
  *
  * 1. Legacy one-shot points (Point / arm / maybeFail): arming a
  *    point makes its next passage throw StatusError(Internal), or,
- *    for the crash points, raise a hard failure.  Tests and
- *    LKMM_FAULT_INJECT drive these directly.
+ *    for the crash points, raise a hard failure.  Tests drive
+ *    these directly through arm() and armFromSpec().
  *
  * 2. Fault plans (FaultPlan / setPlan): every instrumented site has
  *    a stable string id in the site registry (siteRegistry()), and a
@@ -29,12 +29,8 @@
  * exercising a release binary's failure handling and for planting a
  * plan in a forked child.
  *
- * LKMM_FAULT_INJECT (comma-separated legacy point names) is
- * DEPRECATED: plans subsume it ("litmus-parse" is exactly
- * "litmus-parse:1:error").  For one release a shim translates the
- * list into equivalent fault plans — the crash points, which have
- * no registry site, stay on the legacy arming path — and warns on
- * stderr; after that the variable will be ignored.
+ * The legacy LKMM_FAULT_INJECT variable is no longer read: plans
+ * subsume it ("litmus-parse" is exactly "litmus-parse:1:error").
  *
  * The disarmed fast path of every entry point is a single relaxed
  * atomic load, so release-path overhead is negligible.
@@ -75,7 +71,7 @@ enum class Point
 
 constexpr int kNumPoints = 7;
 
-/** Stable name used by LKMM_FAULT_INJECT, e.g. "litmus-parse". */
+/** Stable name used by armFromSpec, e.g. "litmus-parse". */
 const char *pointName(Point p);
 
 /** Arm one point: its next passage throws. */

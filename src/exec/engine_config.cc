@@ -1,7 +1,9 @@
 #include "exec/engine_config.hh"
 
+#include <charconv>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 
 #include "base/status.hh"
 
@@ -11,37 +13,18 @@ namespace lkmm
 std::string
 EngineConfig::modeName() const
 {
-    if (enumerate.rfFirst)
-        return "rf-first";
-    if (!enumerate.prune)
-        return "brute";
-    return enumerate.arena ? "incremental" : "incremental-noarena";
+    return enumerate.rfFirst ? "rf-first" : "brute";
 }
 
 void
 EngineConfig::setMode(const std::string &name)
 {
-    enumerate.rfFirst = false;
-    if (name == "brute") {
-        enumerate.prune = false;
-        enumerate.arena = false;
-    } else if (name == "incremental") {
-        enumerate.prune = true;
-        enumerate.arena = true;
-    } else if (name == "incremental-noarena") {
-        enumerate.prune = true;
-        enumerate.arena = false;
-    } else if (name == "rf-first") {
-        enumerate.prune = true;
-        enumerate.arena = true;
-        enumerate.rfFirst = true;
-    } else {
-        throw StatusError(Status(
-            StatusCode::InvalidArgument,
-            "unknown engine mode '" + name +
-                "' (expected brute, incremental, "
-                "incremental-noarena or rf-first)"));
+    if (name != "brute" && name != "rf-first") {
+        throw StatusError(Status(StatusCode::InvalidArgument,
+                                 "unknown engine mode '" + name +
+                                     "' (expected brute or rf-first)"));
     }
+    enumerate.rfFirst = name == "rf-first";
 }
 
 json::Object
@@ -88,34 +71,45 @@ bool
 EngineConfig::parseFlag(const std::string &arg,
                         const std::function<std::string()> &next)
 {
-    const auto toCount = [](const std::string &s) {
-        try {
-            return static_cast<std::size_t>(std::stoull(s));
-        } catch (...) {
-            throw StatusError(Status(StatusCode::InvalidArgument,
-                                     "bad engine flag value '" + s +
-                                         "'"));
+    // Plain decimal digits whose value fits: no sign, exponent or
+    // suffix.
+    const auto toCount = [&arg](const std::string &s, std::size_t max) {
+        std::size_t v = 0;
+        const char *end = s.data() + s.size();
+        const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+        if (ec != std::errc() || ptr != end || v > max) {
+            throw StatusError(Status(
+                StatusCode::InvalidArgument,
+                "bad value '" + s + "' for " + arg +
+                    " (expected decimal digits, at most " +
+                    std::to_string(max) + ")"));
         }
+        return v;
     };
+    constexpr std::size_t kAnyCount = std::numeric_limits<std::size_t>::max();
     if (arg == "--engine") {
         setMode(next());
         return true;
     }
     if (arg == "--engine-time-limit-ms") {
-        budget.wallClock = std::chrono::milliseconds(
-            static_cast<std::int64_t>(toCount(next())));
+        using std::chrono::milliseconds;
+        const auto max_ms = std::chrono::duration_cast<milliseconds>(
+                                std::chrono::nanoseconds::max())
+                                .count();
+        budget.wallClock = milliseconds(static_cast<std::int64_t>(
+            toCount(next(), static_cast<std::size_t>(max_ms))));
         return true;
     }
     if (arg == "--engine-max-candidates") {
-        budget.maxCandidates = toCount(next());
+        budget.maxCandidates = toCount(next(), kAnyCount);
         return true;
     }
     if (arg == "--engine-max-rf") {
-        budget.maxRfAssignments = toCount(next());
+        budget.maxRfAssignments = toCount(next(), kAnyCount);
         return true;
     }
     if (arg == "--engine-max-eval-steps") {
-        budget.maxEvalSteps = toCount(next());
+        budget.maxEvalSteps = toCount(next(), kAnyCount);
         return true;
     }
     return false;
@@ -126,11 +120,10 @@ EngineConfig::flagHelp()
 {
     return "engine (shared by lkmm-sweep/fuzz/serve/chaos; "
            "0 = unlimited):\n"
-           "  --engine MODE       brute | incremental |\n"
-           "                      incremental-noarena | rf-first\n"
-           "                      (default: incremental; rf-first\n"
-           "                      saturates co from the model's\n"
-           "                      axioms instead of enumerating it)\n"
+           "  --engine MODE       rf-first | brute (default: rf-first,\n"
+           "                      which saturates co from the model's\n"
+           "                      axioms; brute is the reference that\n"
+           "                      enumerates every rf x co candidate)\n"
            "  --engine-time-limit-ms N   per-run wall-clock budget\n"
            "  --engine-max-candidates N  candidate cap per run\n"
            "  --engine-max-rf N          rf-assignment cap per run\n"

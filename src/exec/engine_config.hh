@@ -20,16 +20,14 @@
  *  - one flag vocabulary (parseFlag/flagHelp).  All four CLIs
  *    accept the same --engine-family flags:
  *
- *        --engine MODE             brute | incremental |
- *                                  incremental-noarena | rf-first
+ *        --engine MODE             rf-first (default) | brute
  *        --engine-time-limit-ms N  per-run wall-clock budget
  *        --engine-max-candidates N
  *        --engine-max-rf N
  *        --engine-max-eval-steps N
  *
- *    CLI-specific aliases (lkmm-sweep's historic --no-prune,
- *    --time-limit-ms, ...) remain as thin wrappers over the same
- *    EngineConfig fields.
+ *    lkmm-sweep's historic --time-limit-ms, --max-candidates and
+ *    --max-rf remain as aliases that parse through the same flags.
  */
 
 #ifndef LKMM_EXEC_ENGINE_CONFIG_HH
@@ -48,19 +46,18 @@ namespace lkmm
 /** Engine selection plus resource bounds for one verification run. */
 struct EngineConfig
 {
-    /** Which engine: prune (incremental vs brute) and arena. */
+    /** Which engine: rf-first (production) or brute (reference). */
     EnumerateOptions enumerate;
     /** Resource bounds applied to each run. */
     RunBudget budget;
 
-    /**
-     * "brute", "incremental", "incremental-noarena" or "rf-first".
-     */
+    /** "rf-first" or "brute". */
     std::string modeName() const;
 
     /**
      * Set enumerate from a mode name; throws
-     * StatusError(InvalidArgument) on an unknown name.
+     * StatusError(InvalidArgument), naming the two valid modes, on
+     * any other name.
      */
     void setMode(const std::string &name);
 
@@ -89,8 +86,11 @@ struct EngineConfig
      * Shared CLI parsing: when `arg` is an --engine-family flag,
      * consume it (reading its value via `next`, which throws or
      * exits when exhausted) into this config and return true;
-     * return false for flags this family does not own.  Throws
-     * StatusError(InvalidArgument) on a bad value.
+     * return false for flags this family does not own.  Counts
+     * must be plain decimal digits that fit the field; anything
+     * else (a sign, an exponent, a suffix, an overflow) throws
+     * StatusError(InvalidArgument) naming the flag, as does an
+     * unknown mode.
      */
     bool parseFlag(const std::string &arg,
                    const std::function<std::string()> &next);

@@ -1,5 +1,7 @@
 #include "exec/enum_core.hh"
 
+#include "relation/kernels.hh"
+
 namespace lkmm::enumcore
 {
 
@@ -346,7 +348,7 @@ buildStaticRelations(const Layout &lay, CandidateExecution &ex)
     ex.events = lay.events;
 
     // Abstract-execution storage comes from the execution's arena
-    // when one is attached (the incremental engines' path).
+    // when one is attached (the rf-first engine's path).
     auto mk = [&ex, n] {
         return ex.arena() ? Relation(*ex.arena(), n) : Relation(n);
     };
@@ -446,6 +448,147 @@ canPartialReject(const Layout &lay)
         }
     }
     return false;
+}
+
+bool
+forEachLayout(const Program &prog, BudgetTracker &tracker,
+              Enumerator::Stats &stats,
+              const std::function<bool(const Layout &)> &fn)
+{
+    std::vector<std::vector<ThreadPath>> all_paths;
+    all_paths.reserve(prog.threads.size());
+    for (const Thread &t : prog.threads)
+        all_paths.push_back(unrollThread(t));
+
+    // Odometer over the cartesian product of per-thread paths.
+    std::vector<std::size_t> path_idx(prog.threads.size(), 0);
+    std::vector<const ThreadPath *> combo(prog.threads.size());
+    for (;;) {
+        // Budget: the deadline/cancel token is polled per path
+        // combo; the per-rf and per-candidate caps on their hooks.
+        if (!tracker.checkNow())
+            return false;
+        ++stats.pathCombos;
+        for (std::size_t t = 0; t < path_idx.size(); ++t)
+            combo[t] = &all_paths[t][path_idx[t]];
+        if (!fn(layOut(prog, combo)))
+            return false;
+        std::size_t t = 0;
+        for (; t < path_idx.size(); ++t) {
+            if (++path_idx[t] < all_paths[t].size())
+                break;
+            path_idx[t] = 0;
+        }
+        if (t == path_idx.size())
+            return true;
+    }
+}
+
+bool
+forEachConsistentRf(const Layout &lay, bool prune, BudgetTracker &tracker,
+                    Enumerator::Stats &stats, const RfVisitor &fn)
+{
+    const std::vector<std::vector<EventId>> rf_cands = rfCandidates(lay);
+    const std::size_t num_reads = lay.readIds.size();
+    prune = prune && canPartialReject(lay);
+
+    // suffix[k] = number of complete rf assignments below a node
+    // that has chosen sources for reads 0..k-1 (expanded subtree
+    // size); used to account pruned subtrees in whole complete
+    // assignments so rfSpace = rfPruned + rfAssignments holds.
+    std::vector<std::size_t> suffix(num_reads + 1, 1);
+    for (std::size_t i = num_reads; i-- > 0;)
+        suffix[i] = suffix[i + 1] * rf_cands[i].size();
+
+    std::vector<EventId> rf_src(num_reads);
+    Valuation val;
+    ValuateScratch ws;
+    const std::function<bool(std::size_t)> chooseRf =
+        [&](std::size_t read_idx) {
+        if (read_idx == num_reads) {
+            if (!tracker.onRfAssignment())
+                return false;
+            ++stats.rfAssignments;
+            ++stats.rfSpace;
+            valuate(lay, rf_src, val, ws);
+            if (!val.consistent) {
+                ++stats.valuationRejects;
+                return true;
+            }
+            ++stats.rfConsistent;
+            return fn(rf_src, val);
+        }
+        for (EventId w : rf_cands[read_idx]) {
+            rf_src[read_idx] = w;
+            // A proper prefix with a forced violation has no
+            // consistent completion: skip its whole subtree.
+            // Complete assignments go straight to the full
+            // valuation instead.
+            if (prune && read_idx + 1 < num_reads &&
+                !partialFeasible(lay, rf_src, read_idx + 1, ws)) {
+                ++stats.partialValuationRejects;
+                stats.rfPruned += suffix[read_idx + 1];
+                stats.rfSpace += suffix[read_idx + 1];
+                continue;
+            }
+            if (!chooseRf(read_idx + 1))
+                return false;
+        }
+        return true;
+    };
+    return chooseRf(0);
+}
+
+void
+groupWritesByLoc(const Layout &lay, const Valuation &val,
+                 std::vector<std::vector<EventId>> &byLoc)
+{
+    byLoc.resize(static_cast<std::size_t>(lay.prog->numLocs()));
+    for (std::vector<EventId> &ws : byLoc)
+        ws.clear();
+    // writeIds ascend, so every list comes out sorted.
+    for (EventId w : lay.writeIds) {
+        if (!lay.events[w].isInit)
+            byLoc[val.loc[w]].push_back(w);
+    }
+}
+
+namespace
+{
+
+/** forEachCo below location l, with stack[l] holding co so far. */
+bool
+chooseCo(const CoOrders &orders, std::vector<Relation> &stack,
+         std::size_t l, const std::function<bool(const Relation &co)> &fn)
+{
+    if (l == orders.size())
+        return fn(stack[l]);
+    // Init writes are laid out first, one per location in order.
+    const auto init_w = static_cast<EventId>(l);
+    const LocOrders &lo = orders[l];
+    for (std::size_t o = 0; o < lo.count(); ++o) {
+        const EventId *seq = lo.flat.data() + o * lo.k;
+        Relation &co = stack[l + 1];
+        rel::copyInto(co, stack[l]);
+        for (std::size_t a = 0; a < lo.k; ++a) {
+            co.add(init_w, seq[a]);
+            for (std::size_t b = a + 1; b < lo.k; ++b)
+                co.add(seq[a], seq[b]);
+        }
+        if (!chooseCo(orders, stack, l + 1, fn))
+            return false;
+    }
+    return true;
+}
+
+} // namespace
+
+bool
+forEachCo(const CoOrders &orders, std::vector<Relation> &stack,
+          const std::function<bool(const Relation &co)> &fn)
+{
+    rel::clear(stack[0]);
+    return chooseCo(orders, stack, 0, fn);
 }
 
 } // namespace lkmm::enumcore

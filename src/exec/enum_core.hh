@@ -2,24 +2,29 @@
  * @file
  * The engine-neutral core of candidate enumeration.
  *
- * Both enumeration engines — the rf×co Enumerator (enumerate.hh)
- * and the rf-first engine (rf_engine.hh) — walk the same front half
- * of the search: lay out a path combo as events, restrict each
- * read's rf sources, solve the value equations, and build the
- * abstract-execution relations.  This header is that shared half,
- * extracted so the engines cannot drift apart on it: a divergence
- * in rf-candidate pruning or valuation would silently break the
- * cross-engine identity the conformance and engine-identity suites
- * enforce.  The engines differ only in how they pick coherence
- * orders after this point.
+ * Both enumeration engines — the brute-force Enumerator
+ * (enumerate.hh) and the rf-first engine (rf_engine.hh) — walk the
+ * same search: lay out each path combo as events, walk the rf
+ * assignments depth-first, solve the value equations, build the
+ * abstract-execution relations, and build co from one write order
+ * per location.  This header is that shared walk, extracted so the
+ * engines cannot drift apart on it: a divergence in rf-candidate
+ * pruning or valuation would silently break the cross-engine
+ * identity the conformance and engine-identity suites enforce.  The
+ * engines differ only in what they do per consistent rf: brute
+ * rebuilds every co permutation from scratch, rf-first stages the
+ * derived relations and lets saturation pick the co orders.
  */
 
 #ifndef LKMM_EXEC_ENUM_CORE_HH
 #define LKMM_EXEC_ENUM_CORE_HH
 
+#include <functional>
 #include <optional>
 #include <vector>
 
+#include "base/budget.hh"
+#include "exec/enumerate.hh"
 #include "exec/execution.hh"
 #include "exec/unroll.hh"
 #include "litmus/program.hh"
@@ -63,11 +68,10 @@ struct Valuation
 };
 
 /**
- * Scratch vectors of the valuation walks.  The arena engines reuse
- * one instance across every rf assignment (assign() keeps the
- * capacity, so the steady state allocates nothing); the heap
- * engines construct a fresh one per call, as the walks once did
- * inline.
+ * Scratch vectors of the valuation walks.  forEachConsistentRf
+ * reuses one instance across every rf assignment of a layout
+ * (assign() keeps the capacity, so the steady state allocates
+ * nothing).
  */
 struct ValuateScratch
 {
@@ -125,8 +129,9 @@ void buildRelations(const Layout &lay, const Valuation &val,
  * Candidate rf sources per read, pruned by static locations and by
  * intra-thread order: reading a po-later write of one's own thread
  * violates sc-per-variable in every model this repository ships, so
- * such candidates are never useful (herd prunes identically).  Both
- * engines MUST use this one restriction so their rf spaces agree.
+ * such candidates are never useful (herd prunes identically).
+ * forEachConsistentRf applies it for both engines, so their rf
+ * spaces agree.
  */
 std::vector<std::vector<EventId>> rfCandidates(const Layout &lay);
 
@@ -137,6 +142,75 @@ std::vector<std::vector<EventId>> rfCandidates(const Layout &lay);
  * Check items none of those exist and the check is pure overhead.
  */
 bool canPartialReject(const Layout &lay);
+
+/**
+ * The outer loop of both engines: lay out every combination of
+ * per-thread control-flow paths in turn.  Polls the tracker's
+ * deadline and cancel token before each combo and counts it in
+ * stats.pathCombos.
+ *
+ * @return false when `fn` returned false or the tracker tripped.
+ */
+bool forEachLayout(const Program &prog, BudgetTracker &tracker,
+                   Enumerator::Stats &stats,
+                   const std::function<bool(const Layout &)> &fn);
+
+/** Called per consistent rf: the sources (readIds order), solved. */
+using RfVisitor = std::function<bool(const std::vector<EventId> &rfSrc,
+                                     const Valuation &val)>;
+
+/**
+ * Walk the rf assignments of one layout depth-first, in
+ * rfCandidates order.  Each complete assignment is charged to the
+ * tracker's rf bound, valuated and counted; `fn` sees the
+ * consistent ones.  With `prune`, a proper prefix partialFeasible()
+ * refutes is cut, its subtree accounted in whole complete
+ * assignments (rfPruned) so the Enumerator::Stats identities hold.
+ *
+ * @return false when `fn` returned false or the tracker tripped.
+ */
+bool forEachConsistentRf(const Layout &lay, bool prune,
+                         BudgetTracker &tracker, Enumerator::Stats &stats,
+                         const RfVisitor &fn);
+
+/** Non-init writes per resolved location, each list ascending. */
+void groupWritesByLoc(const Layout &lay, const Valuation &val,
+                      std::vector<std::vector<EventId>> &byLoc);
+
+/**
+ * The candidate orders of one location's k non-init writes, stored
+ * back to back in `flat` so refilling them per rf keeps capacity.
+ */
+struct LocOrders
+{
+    std::size_t k = 0;
+    std::vector<EventId> flat;
+
+    void
+    reset(std::size_t writes)
+    {
+        k = writes;
+        flat.clear();
+    }
+
+    /** Number of orders; a location without writes has one, empty. */
+    std::size_t count() const { return k == 0 ? 1 : flat.size() / k; }
+};
+
+/** Candidate write orders per location (index = location). */
+using CoOrders = std::vector<LocOrders>;
+
+/**
+ * Visit the cross product of per-location write orders, location 0
+ * outermost.  Each pick becomes co — the location's init write
+ * before its writes, then the order's pairs — built in `stack`
+ * (orders.size() + 1 relations sized to the universe, rewritten in
+ * place per tree node) and passed to `fn`.
+ *
+ * @return false when `fn` returned false.
+ */
+bool forEachCo(const CoOrders &orders, std::vector<Relation> &stack,
+               const std::function<bool(const Relation &co)> &fn);
 
 } // namespace lkmm::enumcore
 

@@ -1,20 +1,15 @@
 #include "exec/enumerate.hh"
 
 #include <algorithm>
-#include <optional>
 
 #include "base/faultinject.hh"
-#include "base/logging.hh"
 #include "exec/enum_core.hh"
-#include "exec/unroll.hh"
-#include "relation/kernels.hh"
 
 namespace lkmm
 {
 
 using enumcore::Layout;
 using enumcore::Valuation;
-using enumcore::ValuateScratch;
 
 void
 Enumerator::forEach(const std::function<bool(const CandidateExecution &)> &fn)
@@ -22,268 +17,45 @@ Enumerator::forEach(const std::function<bool(const CandidateExecution &)> &fn)
     faultinject::maybeFail(faultinject::Point::Enumerate,
                            prog_.name.c_str());
 
-    completeness_ = Completeness::Complete;
-    tripped_ = BoundKind::None;
     BudgetTracker tracker(budget_);
+    const auto num_locs = static_cast<std::size_t>(prog_.numLocs());
+    std::vector<std::vector<EventId>> by_loc;
+    enumcore::CoOrders perms(num_locs);
 
-    std::vector<std::vector<ThreadPath>> all_paths;
-    all_paths.reserve(prog_.threads.size());
-    for (const Thread &t : prog_.threads)
-        all_paths.push_back(unrollThread(t));
-
-    // Iterate the cartesian product of per-thread paths.
-    std::vector<std::size_t> path_idx(prog_.threads.size(), 0);
-    bool stop = false;
-
-    auto advance = [&]() {
-        for (std::size_t t = 0; t < path_idx.size(); ++t) {
-            if (++path_idx[t] < all_paths[t].size())
-                return true;
-            path_idx[t] = 0;
-        }
-        return false;
-    };
-
-    do {
-        // Budget: poll the deadline/cancel token per path combo; the
-        // per-rf and per-candidate caps are checked on their hooks.
-        if (!tracker.checkNow())
-            break;
-        ++stats_.pathCombos;
-        std::vector<const ThreadPath *> combo;
-        combo.reserve(path_idx.size());
-        for (std::size_t t = 0; t < path_idx.size(); ++t)
-            combo.push_back(&all_paths[t][path_idx[t]]);
-
-        Layout lay = enumcore::layOut(prog_, combo);
-        const std::size_t n = lay.events.size();
-
-        const std::vector<std::vector<EventId>> rf_cands =
-            enumcore::rfCandidates(lay);
-
-        // suffix[k] = number of complete rf assignments below a node
-        // that has chosen sources for reads 0..k-1 (expanded subtree
-        // size); used to account pruned subtrees in whole complete
-        // assignments so rfSpace = rfPruned + rfAssignments holds.
-        const std::size_t num_reads = lay.readIds.size();
-        std::vector<std::size_t> suffix(num_reads + 1, 1);
-        for (std::size_t i = num_reads; i-- > 0;)
-            suffix[i] = suffix[i + 1] * rf_cands[i].size();
-
-        // Statics of this path combo, shared by every candidate when
-        // pruning: the incremental engine copies this base instead of
-        // rebuilding po/deps and the po-derived sets per candidate.
-        // With the arena enabled the combo boundary is the
-        // static-stage lifetime: everything the previous combo carved
-        // from the arena dies here, and the stages below reuse their
-        // allocations in place for the whole combo.
-        const bool use_arena = opts_.prune && opts_.arena;
-        CandidateExecution base;
-        if (opts_.prune) {
-            if (use_arena) {
-                arena_.reset();
-                base.attachArena(&arena_);
-            }
-            enumcore::buildStaticRelations(lay, base);
-            base.finalizeStatic();
-        }
-
-        // Per-depth co scratch for the permutation recursion: one
-        // relation per location level, written in place instead of
-        // copy-constructed per tree node.
-        std::vector<Relation> co_stack;
-        if (use_arena) {
-            const auto num_locs =
-                static_cast<std::size_t>(prog_.numLocs());
-            co_stack.reserve(num_locs + 1);
-            for (std::size_t i = 0; i <= num_locs; ++i)
-                co_stack.emplace_back(arena_, n);
-        }
-
-        // Valuation workspace: the arena engine reuses one instance
-        // across every rf assignment in the combo (assign() keeps
-        // capacity, so the steady state allocates nothing); the heap
-        // engine constructs fresh ones per call, preserving the PR-5
-        // allocation profile the bench baseline measures.
-        Valuation shared_val;
-        ValuateScratch shared_ws;
-        std::vector<std::vector<EventId>> shared_by_loc;
-
-        const bool can_partial_reject = enumcore::canPartialReject(lay);
-
-        // Dispatched once per consistent rf assignment; enumerates
-        // the per-location co permutations.  `exRf` is null in the
-        // brute-force engine (each candidate then rebuilds from
-        // scratch); otherwise it is the rf-finalized copy of `base`,
-        // reused across the co permutations — each candidate only
-        // overwrites co and recomputes the co-derived stage.
-        std::vector<EventId> rf_src(num_reads);
-        auto forEachCo = [&](const Valuation &val,
-                             CandidateExecution *exRf) {
-            // Group writes by resolved location for co.
-            std::vector<std::vector<EventId>> local_by_loc;
-            auto &by_loc = use_arena ? shared_by_loc : local_by_loc;
-            by_loc.resize(static_cast<std::size_t>(prog_.numLocs()));
-            for (auto &v : by_loc)
-                v.clear();
-            for (EventId w : lay.writeIds) {
-                if (!lay.events[w].isInit)
-                    by_loc[val.loc[w]].push_back(w);
-            }
-
-            std::size_t total_perms = 1;
-            std::size_t delivered = 0;
-            if (opts_.prune) {
-                for (const auto &ws : by_loc) {
-                    for (std::size_t k = 2; k <= ws.size(); ++k)
-                        total_perms *= k;
+    enumcore::forEachLayout(prog_, tracker, stats_, [&](const Layout &lay) {
+        std::vector<Relation> co_stack(num_locs + 1,
+                                       Relation(lay.events.size()));
+        return enumcore::forEachConsistentRf(
+            lay, /*prune=*/false, tracker, stats_,
+            [&](const std::vector<EventId> &rf_src, const Valuation &val) {
+                // Every permutation of every location's writes, in
+                // std::next_permutation order.
+                enumcore::groupWritesByLoc(lay, val, by_loc);
+                for (std::size_t l = 0; l < num_locs; ++l) {
+                    std::vector<EventId> &ws = by_loc[l];
+                    perms[l].reset(ws.size());
+                    do {
+                        perms[l].flat.insert(perms[l].flat.end(),
+                                             ws.begin(), ws.end());
+                    } while (std::next_permutation(ws.begin(), ws.end()));
                 }
-            }
-
-            // Enumerate per-location permutations.
-            std::function<void(std::size_t, Relation &)> chooseCo =
-                [&](std::size_t loc_i, Relation &co) {
-                if (stop)
-                    return;
-                if (loc_i == by_loc.size()) {
-                    if (!tracker.onCandidate()) {
-                        stop = true;
-                        return;
-                    }
-                    if (exRf) {
-                        if (use_arena) {
-                            if (exRf->co.size() != n)
-                                exRf->co = Relation(arena_, n);
-                            rel::copyInto(exRf->co, co);
-                        } else {
-                            exRf->co = co;
-                        }
-                        exRf->finalizeCo();
+                return enumcore::forEachCo(
+                    perms, co_stack, [&](const Relation &co) {
+                        if (!tracker.onCandidate())
+                            return false;
+                        CandidateExecution ex;
+                        enumcore::buildRelations(lay, val, rf_src, ex);
+                        ex.co = co;
+                        ex.finalize();
                         ++stats_.candidates;
-                        ++delivered;
-                        if (!fn(*exRf))
-                            stop = true;
-                        return;
-                    }
-                    CandidateExecution ex;
-                    enumcore::buildRelations(lay, val, rf_src, ex);
-                    ex.co = co;
-                    ex.finalize();
-                    ++stats_.candidates;
-                    ++delivered;
-                    if (!fn(ex))
-                        stop = true;
-                    return;
-                }
-                auto &ws = by_loc[loc_i];
-                std::sort(ws.begin(), ws.end());
-                do {
-                    Relation heap_co;
-                    Relation *co2;
-                    if (use_arena) {
-                        co2 = &co_stack[loc_i + 1];
-                        rel::copyInto(*co2, co);
-                    } else {
-                        heap_co = co;
-                        co2 = &heap_co;
-                    }
-                    // init write first, then the permutation.
-                    EventId init_w = static_cast<EventId>(loc_i);
-                    for (EventId w : ws)
-                        co2->add(init_w, w);
-                    for (std::size_t a = 0; a < ws.size(); ++a) {
-                        for (std::size_t b = a + 1; b < ws.size();
-                             ++b) {
-                            co2->add(ws[a], ws[b]);
-                        }
-                    }
-                    chooseCo(loc_i + 1, *co2);
-                } while (!stop &&
-                         std::next_permutation(ws.begin(), ws.end()));
-            };
-            if (use_arena) {
-                rel::clear(co_stack[0]);
-                chooseCo(0, co_stack[0]);
-            } else {
-                Relation co(n);
-                chooseCo(0, co);
-            }
-            if (stop && opts_.prune)
-                stats_.coPruned += total_perms - delivered;
-        };
-
-        // Depth-first product over rf choices.
-        std::function<void(std::size_t)> chooseRf =
-            [&](std::size_t read_idx) {
-            if (stop)
-                return;
-            if (read_idx == num_reads) {
-                if (!tracker.onRfAssignment()) {
-                    stop = true;
-                    return;
-                }
-                ++stats_.rfAssignments;
-                ++stats_.rfSpace;
-                Valuation local_val;
-                ValuateScratch local_ws;
-                Valuation &val = use_arena ? shared_val : local_val;
-                ValuateScratch &vws = use_arena ? shared_ws : local_ws;
-                enumcore::valuate(lay, rf_src, val, vws);
-                if (!val.consistent) {
-                    ++stats_.valuationRejects;
-                    return;
-                }
-                ++stats_.rfConsistent;
-
-                if (!opts_.prune) {
-                    forEachCo(val, nullptr);
-                    return;
-                }
-                // Mutate the shared static base rather than copying
-                // it: applyValuation overwrites every non-init event
-                // and finalRegs wholesale, and finalizeRf/finalizeCo
-                // overwrite all their outputs, so only rf (which
-                // applyValuation accumulates into) needs a reset.
-                if (use_arena)
-                    rel::clear(base.rf);
-                else
-                    base.rf = Relation(n);
-                enumcore::applyValuation(lay, val, rf_src, base);
-                base.finalizeRf();
-                forEachCo(val, &base);
-                return;
-            }
-            for (EventId w : rf_cands[read_idx]) {
-                rf_src[read_idx] = w;
-                // Prune: a proper prefix with a forced violation has
-                // no consistent completion — skip its whole subtree.
-                // Complete assignments go straight to the full
-                // valuation instead.
-                if (opts_.prune && can_partial_reject &&
-                    read_idx + 1 < num_reads) {
-                    ValuateScratch local_pf;
-                    ValuateScratch &pf_ws =
-                        use_arena ? shared_ws : local_pf;
-                    if (!enumcore::partialFeasible(lay, rf_src,
-                                                   read_idx + 1,
-                                                   pf_ws)) {
-                        ++stats_.partialValuationRejects;
-                        stats_.rfPruned += suffix[read_idx + 1];
-                        stats_.rfSpace += suffix[read_idx + 1];
-                        continue;
-                    }
-                }
-                chooseRf(read_idx + 1);
-                if (stop)
-                    return;
-            }
-        };
-        chooseRf(0);
-    } while (!stop && advance());
+                        return fn(ex);
+                    });
+            });
+    });
 
     tripped_ = tracker.bound();
-    if (tripped_ != BoundKind::None)
-        completeness_ = Completeness::Truncated;
+    completeness_ = tripped_ == BoundKind::None ? Completeness::Complete
+                                                : Completeness::Truncated;
 }
 
 std::vector<CandidateExecution>

@@ -25,67 +25,48 @@ namespace lkmm
 {
 
 /**
- * Knobs of the enumeration engine.
+ * Engine selection, consumed by the runner (src/lkmm/runner.cc).
  *
- * `prune` selects between the two engines, which deliver the same
- * candidate stream (same candidates, same order within each rf
- * assignment's co block) — the conformance suite in
- * tests/lkmm/conformance_test.cc enforces the equivalence:
- *
- *  - prune=true (default): the incremental engine.  Po-derived
- *    static relations (po, addr/data/ctrl deps, fence and
- *    annotation sets, RCU critical sections) are computed once per
- *    path combo and copied into each candidate; rf-derived
- *    relations once per rf assignment; only the co-derived
- *    relations are computed per candidate.  Partial rf prefixes
- *    that are provably value-infeasible are cut without
- *    materializing their subtrees.
- *  - prune=false: the brute-force reference engine — every
- *    complete rf assignment is materialized and handed to the full
- *    valuation, and every candidate rebuilds its relations from
- *    scratch.  Kept as the oracle for the conformance suite and
- *    the bench baseline.
- *
- * `arena` (incremental engine only) backs the staged finalize with
- * the enumerator's RelationArena and reuses preallocated co
- * scratch, so steady-state per-candidate work allocates nothing;
- * off, the same engine allocates from the heap per stage — the
- * PR-5 behaviour, kept as the bench baseline for the arena win.
- * The candidate stream is identical either way.
- *
- * `rfFirst` is consumed by the runner (src/lkmm/runner.cc), not by
- * Enumerator itself: it selects the reads-from-first engine
- * (rf_engine.hh), which enumerates rf assignments only and derives
- * coherence orders by saturation, falling back to bounded co
- * enumeration for the pairs saturation leaves open.  It lives here
- * so EngineConfig and every CLI carry one options struct for all
- * three engines.
+ *  - rfFirst=true (default): the production engine, RfFirstEngine
+ *    (rf_engine.hh).  It stages the derived relations per path
+ *    combo and rf assignment, cuts value-infeasible rf prefixes,
+ *    and derives coherence orders by saturation under the model's
+ *    axioms instead of enumerating them.
+ *  - rfFirst=false: the brute-force reference, Enumerator below.
+ *    Every rf assignment is valuated in full and every rf×co
+ *    candidate is rebuilt from scratch: the simplest code, kept as
+ *    the oracle the conformance and engine-identity suites compare
+ *    the production engine against.
  */
 struct EnumerateOptions
 {
-    bool prune = true;
-    bool arena = true;
-    bool rfFirst = false;
+    bool rfFirst = true;
 };
 
-/** Enumerates candidate executions of one program. */
+/**
+ * The brute-force reference enumerator: every rf assignment times
+ * every per-location coherence permutation, each candidate built
+ * from scratch.  Its stream is model-independent; RfFirstEngine
+ * with an empty SaturationSupport yields the same candidates in the
+ * same order.
+ */
 class Enumerator
 {
   public:
     /**
-     * Per-stage search counters.
+     * Per-stage search counters, shared by both engines.
      *
      * Complete rf assignments are accounted exactly:
      *
      *   rfSpace = rfPruned + rfAssignments          (complete runs)
      *   rfAssignments = valuationRejects + rfConsistent
      *
-     * and pruning is sound: a brute-force run of the same program
-     * satisfies valuationRejects(brute) = valuationRejects(pruned)
-     * + rfPruned(pruned) — every pruned assignment is one the full
+     * and prefix pruning is sound: on the same program,
+     * valuationRejects(brute) = valuationRejects(rf-first)
+     * + rfPruned(rf-first) — every pruned assignment is one the full
      * valuation would have rejected.  The pruning counters
-     * (rfPruned, coPruned, partialValuationRejects) are always zero
-     * when EnumerateOptions::prune is false.
+     * (rfPruned, coPruned, partialValuationRejects) and the
+     * saturation counters are always zero for the brute engine.
      */
     struct Stats
     {
@@ -102,20 +83,20 @@ class Enumerator
          */
         std::size_t rfPruned = 0;
         /**
-         * Candidates (co permutations) of a consistent rf assignment
-         * that were cut by an early stop — a tripped budget bound or
-         * a callback that returned false — before being built.
+         * Candidates (co orders) of a delivered rf assignment that
+         * were cut by an early stop — a tripped budget bound or a
+         * callback that returned false — before being built.
          */
         std::size_t coPruned = 0;
         /** Number of infeasible-prefix cuts (prune events). */
         std::size_t partialValuationRejects = 0;
         std::size_t candidates = 0;
 
-        // Saturation counters (rf-first engine only; always zero in
-        // the rf×co engines).  rfConsistent = rfSatRejects +
-        // delivered-rf count; coFallbacks counts the delivered rfs
-        // whose forced order was not total somewhere, i.e. the ones
-        // that needed bounded co enumeration.
+        // Saturation counters (rf-first engine only).
+        // rfConsistent = rfSatRejects + delivered-rf count;
+        // coFallbacks counts the delivered rfs whose forced order
+        // was not total somewhere, i.e. the ones that needed
+        // bounded co enumeration.
 
         /**
          * Consistent rf assignments rejected outright because
@@ -139,14 +120,14 @@ class Enumerator
 
     explicit Enumerator(const Program &prog) : prog_(prog) {}
 
-    /** Enumerate under a budget: the run stops at the first bound. */
+    /**
+     * Enumerate under a budget: the run stops at the first bound.
+     * `opts` is accepted so callers can pass one options struct to
+     * either engine; this class is always the brute reference.
+     */
     Enumerator(const Program &prog, const RunBudget &budget,
-               const EnumerateOptions &opts = {})
-        : prog_(prog), budget_(budget), opts_(opts)
-    {}
-
-    Enumerator(const Program &prog, const EnumerateOptions &opts)
-        : prog_(prog), opts_(opts)
+               const EnumerateOptions & /*opts*/ = {})
+        : prog_(prog), budget_(budget)
     {}
 
     /**
@@ -175,19 +156,9 @@ class Enumerator
   private:
     const Program &prog_;
     RunBudget budget_;
-    EnumerateOptions opts_;
     Stats stats_;
     Completeness completeness_ = Completeness::Complete;
     BoundKind tripped_ = BoundKind::None;
-    /**
-     * Word storage for the incremental engine's derived relations
-     * (opts_.arena): fully reset at each path-combo boundary — the
-     * static-stage lifetime — while the rf- and co-stage relations
-     * reuse their allocations in place across reruns (see
-     * CandidateExecution::ensureRel).  One arena per enumerator;
-     * parallel sweeps hold one enumerator per worker.
-     */
-    RelationArena arena_;
 };
 
 } // namespace lkmm

@@ -57,8 +57,8 @@ class CandidateExecution
     void finalize();
 
     // Arena backing -------------------------------------------------
-    // The incremental enumerator attaches its RelationArena before
-    // the staged finalize; the stages then carve their derived
+    // The rf-first engine attaches its RelationArena before the
+    // staged finalize; the stages then carve their derived
     // relations from it (reusing the same storage in place when a
     // stage reruns at the same universe size) instead of touching
     // the heap per candidate.  The attachment deliberately does not
@@ -75,10 +75,10 @@ class CandidateExecution
 
     // Staged finalization -------------------------------------------
     // finalize() == finalizeStatic(); finalizeRf(); finalizeCo().
-    // The incremental enumerator uses the stages to share work: the
-    // static stage depends only on events (kind/ann/tid) and the
-    // abstract execution, so it runs once per path combo and is
-    // copied into every candidate; the rf stage additionally needs
+    // The rf-first engine uses the stages to share work: the static
+    // stage depends only on events (kind/ann/tid) and the abstract
+    // execution, so it runs once per path combo and is shared by
+    // every candidate; the rf stage additionally needs
     // resolved event locations and rf; the co stage needs co.
 
     /**

@@ -4,7 +4,6 @@
 
 #include "base/faultinject.hh"
 #include "exec/enum_core.hh"
-#include "exec/unroll.hh"
 #include "relation/kernels.hh"
 
 namespace lkmm
@@ -12,10 +11,36 @@ namespace lkmm
 
 using enumcore::Layout;
 using enumcore::Valuation;
-using enumcore::ValuateScratch;
 
 namespace
 {
+
+/** Depth-first step of linearExtensions: extend the prefix `cur`. */
+void
+extend(const std::vector<EventId> &ws, const Relation &forced,
+       std::vector<EventId> &cur, std::vector<char> &used,
+       std::vector<EventId> &out)
+{
+    const std::size_t k = ws.size();
+    if (cur.size() == k) {
+        out.insert(out.end(), cur.begin(), cur.end());
+        return;
+    }
+    for (std::size_t i = 0; i < k; ++i) {
+        if (used[i])
+            continue;
+        bool minimal = true;
+        for (std::size_t j = 0; j < k && minimal; ++j)
+            minimal = used[j] || j == i || !forced.contains(ws[j], ws[i]);
+        if (!minimal)
+            continue;
+        used[i] = 1;
+        cur.push_back(ws[i]);
+        extend(ws, forced, cur, used, out);
+        cur.pop_back();
+        used[i] = 0;
+    }
+}
 
 /**
  * All linear extensions of the forced order restricted to `ws`
@@ -23,46 +48,22 @@ namespace
  * each step every not-yet-placed write with no not-yet-placed
  * forced predecessor is tried in ascending event-id order.  With a
  * total forced order this yields exactly one extension; with an
- * empty one, all |ws|! permutations — the bounded fallback.
+ * empty one, all |ws|! permutations in std::next_permutation order
+ * — the bounded fallback.  `cur` and `used` are scratch.
  */
 void
 linearExtensions(const std::vector<EventId> &ws, const Relation &forced,
-                 std::vector<std::vector<EventId>> &out)
+                 std::vector<EventId> &cur, std::vector<char> &used,
+                 enumcore::LocOrders &out)
 {
-    out.clear();
-    const std::size_t k = ws.size();
-    if (k == 0) {
-        out.emplace_back();
+    out.reset(ws.size());
+    if (ws.size() < 2) {
+        out.flat.assign(ws.begin(), ws.end());
         return;
     }
-    std::vector<EventId> cur;
-    std::vector<bool> used(k, false);
-    cur.reserve(k);
-    std::function<void()> rec = [&] {
-        if (cur.size() == k) {
-            out.push_back(cur);
-            return;
-        }
-        for (std::size_t i = 0; i < k; ++i) {
-            if (used[i])
-                continue;
-            bool minimal = true;
-            for (std::size_t j = 0; j < k && minimal; ++j) {
-                if (!used[j] && j != i &&
-                    forced.contains(ws[j], ws[i])) {
-                    minimal = false;
-                }
-            }
-            if (!minimal)
-                continue;
-            used[i] = true;
-            cur.push_back(ws[i]);
-            rec();
-            cur.pop_back();
-            used[i] = false;
-        }
-    };
-    rec();
+    cur.clear();
+    used.assign(ws.size(), 0);
+    extend(ws, forced, cur, used, out.flat);
 }
 
 } // namespace
@@ -74,261 +75,119 @@ RfFirstEngine::forEach(
     faultinject::maybeFail(faultinject::Point::Enumerate,
                            prog_.name.c_str());
 
-    completeness_ = Completeness::Complete;
-    tripped_ = BoundKind::None;
     BudgetTracker tracker(budget_);
+    const auto num_locs = static_cast<std::size_t>(prog_.numLocs());
 
-    std::vector<std::vector<ThreadPath>> all_paths;
-    all_paths.reserve(prog_.threads.size());
-    for (const Thread &t : prog_.threads)
-        all_paths.push_back(unrollThread(t));
+    // initWrites[l] = l is a layout invariant (init writes come
+    // first, one per location, in location order).
+    std::vector<EventId> init_writes(num_locs);
+    for (std::size_t l = 0; l < num_locs; ++l)
+        init_writes[l] = static_cast<EventId>(l);
+    std::vector<std::vector<EventId>> by_loc;
+    enumcore::CoOrders exts(num_locs);
+    std::vector<EventId> ext_cur;
+    std::vector<char> ext_used;
 
-    std::vector<std::size_t> path_idx(prog_.threads.size(), 0);
-    bool stop = false;
-
-    auto advance = [&]() {
-        for (std::size_t t = 0; t < path_idx.size(); ++t) {
-            if (++path_idx[t] < all_paths[t].size())
-                return true;
-            path_idx[t] = 0;
-        }
-        return false;
-    };
-
-    do {
-        if (!tracker.checkNow())
-            break;
-        ++stats_.pathCombos;
-        std::vector<const ThreadPath *> combo;
-        combo.reserve(path_idx.size());
-        for (std::size_t t = 0; t < path_idx.size(); ++t)
-            combo.push_back(&all_paths[t][path_idx[t]]);
-
-        Layout lay = enumcore::layOut(prog_, combo);
+    enumcore::forEachLayout(prog_, tracker, stats_, [&](const Layout &lay) {
         const std::size_t n = lay.events.size();
-        const auto num_locs = static_cast<std::size_t>(prog_.numLocs());
 
-        const std::vector<std::vector<EventId>> rf_cands =
-            enumcore::rfCandidates(lay);
-
-        const std::size_t num_reads = lay.readIds.size();
-        std::vector<std::size_t> suffix(num_reads + 1, 1);
-        for (std::size_t i = num_reads; i-- > 0;)
-            suffix[i] = suffix[i + 1] * rf_cands[i].size();
-
-        // This engine always runs staged (there is no brute rf-first
-        // variant); opts_.arena selects the storage backing exactly
-        // as it does for the incremental engine.
-        const bool use_arena = opts_.arena;
+        // Statics of this path combo, shared by every candidate.
+        // The combo boundary is the static-stage lifetime:
+        // everything the previous combo carved from the arena dies
+        // here, and the stages below reuse their allocations in
+        // place for the whole combo.
+        arena_.reset();
         CandidateExecution base;
-        if (use_arena) {
-            arena_.reset();
-            base.attachArena(&arena_);
-        }
+        base.attachArena(&arena_);
         enumcore::buildStaticRelations(lay, base);
         base.finalizeStatic();
+        base.co = Relation(arena_, n);
 
-        // initWrites[l] = l is a layout invariant (init writes come
-        // first, one per location, in location order).
-        std::vector<EventId> init_writes(num_locs);
-        for (std::size_t l = 0; l < num_locs; ++l)
-            init_writes[l] = static_cast<EventId>(l);
-
-        // Per-rf saturation state.  The forced relation and the
-        // scratch live for the whole combo; each rf clears and
-        // refills them in place.
-        Relation forced_heap;
-        Relation forced_arena;
+        // Per-rf saturation state and the per-depth co scratch,
+        // cleared and refilled in place by every rf; the fixpoint's
+        // scratch is carved on the first rf that saturates.
+        Relation forced(arena_, n);
         rel::SaturationScratch sat_scratch;
-        if (use_arena) {
-            forced_arena = Relation(arena_, n);
-            sat_scratch.prepare(arena_, n);
-        } else {
-            forced_heap = Relation(n);
-            sat_scratch.prepare(n);
-        }
-        Relation &forced = use_arena ? forced_arena : forced_heap;
-
-        // Per-depth co scratch for the extension recursion.
         std::vector<Relation> co_stack;
-        if (use_arena) {
-            co_stack.reserve(num_locs + 1);
-            for (std::size_t i = 0; i <= num_locs; ++i)
-                co_stack.emplace_back(arena_, n);
-        }
+        co_stack.reserve(num_locs + 1);
+        for (std::size_t i = 0; i <= num_locs; ++i)
+            co_stack.emplace_back(arena_, n);
 
-        Valuation shared_val;
-        ValuateScratch shared_ws;
-        std::vector<std::vector<EventId>> by_loc(num_locs);
-        std::vector<std::vector<std::vector<EventId>>> exts(num_locs);
-
-        const bool can_partial_reject = enumcore::canPartialReject(lay);
-
-        std::vector<EventId> rf_src(num_reads);
-
-        // Dispatched once per consistent, saturation-surviving rf
-        // assignment: enumerate the cross product of the
-        // per-location extension lists, building co exactly as the
-        // rf×co engines do (init write first, then pairwise edges in
-        // sequence order) so fingerprints are comparable.
-        auto forEachExtension = [&](CandidateExecution &exRf) {
-            std::size_t total_exts = 1;
-            for (const auto &e : exts)
-                total_exts *= e.size();
-            std::size_t delivered = 0;
-
-            std::function<void(std::size_t, Relation &)> chooseCo =
-                [&](std::size_t loc_i, Relation &co) {
-                if (stop)
-                    return;
-                if (loc_i == num_locs) {
-                    if (!tracker.onCandidate()) {
-                        stop = true;
-                        return;
-                    }
-                    if (use_arena) {
-                        if (exRf.co.size() != n)
-                            exRf.co = Relation(arena_, n);
-                        rel::copyInto(exRf.co, co);
-                    } else {
-                        exRf.co = co;
-                    }
-                    exRf.finalizeCo();
-                    ++stats_.candidates;
-                    ++delivered;
-                    if (!fn(exRf))
-                        stop = true;
-                    return;
-                }
-                for (const std::vector<EventId> &seq : exts[loc_i]) {
-                    Relation heap_co;
-                    Relation *co2;
-                    if (use_arena) {
-                        co2 = &co_stack[loc_i + 1];
-                        rel::copyInto(*co2, co);
-                    } else {
-                        heap_co = co;
-                        co2 = &heap_co;
-                    }
-                    EventId init_w = static_cast<EventId>(loc_i);
-                    for (EventId w : seq)
-                        co2->add(init_w, w);
-                    for (std::size_t a = 0; a < seq.size(); ++a) {
-                        for (std::size_t b = a + 1; b < seq.size();
-                             ++b) {
-                            co2->add(seq[a], seq[b]);
-                        }
-                    }
-                    chooseCo(loc_i + 1, *co2);
-                    if (stop)
-                        return;
-                }
-            };
-            if (use_arena) {
-                rel::clear(co_stack[0]);
-                chooseCo(0, co_stack[0]);
-            } else {
-                Relation co(n);
-                chooseCo(0, co);
-            }
-            if (stop)
-                stats_.coPruned += total_exts - delivered;
+        // Delivers one co order of the current rf.
+        std::size_t delivered = 0;
+        const std::function<bool(const Relation &)> deliver =
+            [&](const Relation &co) {
+            if (!tracker.onCandidate())
+                return false;
+            rel::copyInto(base.co, co);
+            base.finalizeCo();
+            ++stats_.candidates;
+            ++delivered;
+            return fn(base);
         };
 
-        std::function<void(std::size_t)> chooseRf =
-            [&](std::size_t read_idx) {
-            if (stop)
-                return;
-            if (read_idx == num_reads) {
-                if (!tracker.onRfAssignment()) {
-                    stop = true;
-                    return;
-                }
-                ++stats_.rfAssignments;
-                ++stats_.rfSpace;
-                Valuation local_val;
-                ValuateScratch local_ws;
-                Valuation &val = use_arena ? shared_val : local_val;
-                ValuateScratch &vws = use_arena ? shared_ws : local_ws;
-                enumcore::valuate(lay, rf_src, val, vws);
-                if (!val.consistent) {
-                    ++stats_.valuationRejects;
-                    return;
-                }
-                ++stats_.rfConsistent;
-
-                if (use_arena)
-                    rel::clear(base.rf);
-                else
-                    base.rf = Relation(n);
+        return enumcore::forEachConsistentRf(
+            lay, /*prune=*/true, tracker, stats_,
+            [&](const std::vector<EventId> &rf_src, const Valuation &val) {
+                // Mutate the shared static base rather than copying
+                // it: applyValuation overwrites every non-init event
+                // and finalRegs wholesale, and finalizeRf/finalizeCo
+                // overwrite all their outputs, so only rf (which
+                // applyValuation accumulates into) needs a reset.
+                rel::clear(base.rf);
                 enumcore::applyValuation(lay, val, rf_src, base);
                 base.finalizeRf();
-
-                // Group writes by resolved location.
-                for (auto &v : by_loc)
-                    v.clear();
-                for (EventId w : lay.writeIds) {
-                    if (!lay.events[w].isInit)
-                        by_loc[val.loc[w]].push_back(w);
-                }
-                for (auto &ws : by_loc)
-                    std::sort(ws.begin(), ws.end());
+                enumcore::groupWritesByLoc(lay, val, by_loc);
 
                 // Saturate the forced part of co under the model's
                 // axioms; a contradiction retires the whole rf.
-                rel::clear(forced);
-                const rel::SaturationResult sat =
-                    rel::saturateForcedCo(forced, base.poLoc(),
-                                          base.rf, base.rmw,
-                                          base.intRel(), by_loc,
-                                          init_writes, support_,
-                                          sat_scratch);
-                if (sat.contradiction) {
-                    ++stats_.rfSatRejects;
-                    return;
+                // With at most one non-init write per location co
+                // is unique, so saturation could at most reject its
+                // one candidate, which the model rejects as well:
+                // skip it, as when the model promises nothing.
+                // Only locations with two or more writes consult
+                // `forced` below, so a skipped rf leaves it unread.
+                const bool unique_co = std::all_of(
+                    by_loc.begin(), by_loc.end(),
+                    [](const auto &ws) { return ws.size() < 2; });
+                if (support_.any() && !unique_co) {
+                    rel::clear(forced);
+                    sat_scratch.prepare(arena_, n);
+                    const rel::SaturationResult sat =
+                        rel::saturateForcedCo(forced, base.poLoc(),
+                                              base.rf, base.rmw,
+                                              base.intRel(), by_loc,
+                                              init_writes, support_,
+                                              sat_scratch);
+                    if (sat.contradiction) {
+                        ++stats_.rfSatRejects;
+                        return true;
+                    }
+                    stats_.coSatForced += sat.forcedEdges;
                 }
-                stats_.coSatForced += sat.forcedEdges;
 
                 // Bounded fallback: enumerate linear extensions of
                 // what saturation left open.
-                bool fell_back = false;
+                std::size_t total_exts = 1;
                 for (std::size_t l = 0; l < num_locs; ++l) {
-                    linearExtensions(by_loc[l], forced, exts[l]);
-                    if (exts[l].size() > 1)
-                        fell_back = true;
+                    linearExtensions(by_loc[l], forced, ext_cur,
+                                     ext_used, exts[l]);
+                    total_exts *= exts[l].count();
                 }
-                if (fell_back)
+                if (total_exts > 1)
                     ++stats_.coFallbacks;
 
-                forEachExtension(base);
-                return;
-            }
-            for (EventId w : rf_cands[read_idx]) {
-                rf_src[read_idx] = w;
-                if (can_partial_reject && read_idx + 1 < num_reads) {
-                    ValuateScratch local_pf;
-                    ValuateScratch &pf_ws =
-                        use_arena ? shared_ws : local_pf;
-                    if (!enumcore::partialFeasible(lay, rf_src,
-                                                   read_idx + 1,
-                                                   pf_ws)) {
-                        ++stats_.partialValuationRejects;
-                        stats_.rfPruned += suffix[read_idx + 1];
-                        stats_.rfSpace += suffix[read_idx + 1];
-                        continue;
-                    }
-                }
-                chooseRf(read_idx + 1);
-                if (stop)
-                    return;
-            }
-        };
-        chooseRf(0);
-    } while (!stop && advance());
+                delivered = 0;
+                const bool more = enumcore::forEachCo(exts, co_stack, deliver);
+                if (!more)
+                    stats_.coPruned += total_exts - delivered;
+                return more;
+            });
+    });
 
     tripped_ = tracker.bound();
-    if (tripped_ != BoundKind::None)
-        completeness_ = Completeness::Truncated;
+    completeness_ = tripped_ == BoundKind::None ? Completeness::Complete
+                                                : Completeness::Truncated;
 }
 
 std::vector<CandidateExecution>

@@ -1,33 +1,43 @@
 /**
  * @file
- * The reads-from-first enumeration engine.
+ * The reads-from-first enumeration engine: the production engine.
  *
- * The rf×co engines in enumerate.hh materialize every coherence
- * permutation of every consistent rf assignment — exponential in
- * the writes per location, which is exactly what blows up on 4+
- * thread tests.  Following the reads-from-first approach of Tunç et
- * al. (PAPERS.md), this engine enumerates rf assignments only and
- * lets the model's communication axioms decide most of co:
+ * The brute-force reference (enumerate.hh) materializes every
+ * coherence permutation of every consistent rf assignment —
+ * exponential in the writes per location, which is exactly what
+ * blows up on 4+ thread tests.  Following the reads-from-first
+ * approach of Tunç et al. (PAPERS.md), this engine enumerates rf
+ * assignments only and lets the model's communication axioms
+ * decide most of co:
  *
- *  1. per consistent rf, saturate the forced part of co
- *     (relation/saturation.hh) under the axioms the model declares
- *     through Model::saturationSupport();
- *  2. a contradiction kills the whole rf — no co permutation is
- *     built, because every one of them would be model-rejected;
- *  3. otherwise only the linear extensions of the forced partial
+ *  1. per path combo, the po-derived relations are built once into
+ *     an arena-backed base execution; rf prefixes that are provably
+ *     value-infeasible are cut without materializing their
+ *     subtrees;
+ *  2. per consistent rf, the rf-derived stage is finalized once and
+ *     the forced part of co is saturated (relation/saturation.hh)
+ *     under the axioms the model declares through
+ *     Model::saturationSupport();
+ *  3. a contradiction kills the whole rf — no co order is built,
+ *     because every one of them would be model-rejected;
+ *  4. otherwise only the linear extensions of the forced partial
  *     order are enumerated (the bounded fallback; often exactly
- *     one), finalized with the same staged machinery, and handed to
- *     the caller exactly like any other candidate.
+ *     one), each finalizing only the co-derived stage, and handed
+ *     to the caller exactly like any other candidate.
  *
- * Exactness: the engine's stream is a subset of the rf×co stream,
+ * Saturation is skipped when no location of the rf assignment has
+ * two or more non-init writes: co is then unique, and its one
+ * candidate goes to the model, which decides it as exactly as a
+ * saturation contradiction would.
+ *
+ * Exactness: the engine's stream is a subset of the brute stream,
  * and every skipped candidate is one the model rejects, so verdicts,
  * allowed candidates, witnesses and allowed final states are
- * identical to brute and incremental under any model whose
- * saturationSupport() promises are true — the engine-identity and
- * conformance suites enforce this.  Raw candidate counts are
- * engine-specific by design.  With no declared support the forced
- * order is empty and the engine degenerates to the incremental
- * engine's stream.
+ * identical to brute under any model whose saturationSupport()
+ * promises are true — the engine-identity and conformance suites
+ * enforce this.  Raw candidate counts depend on the model by design.
+ * With an empty SaturationSupport the forced order is empty and the
+ * stream is the brute stream: the same candidates in the same order.
  */
 
 #ifndef LKMM_EXEC_RF_ENGINE_HH
@@ -49,13 +59,14 @@ namespace lkmm
 class RfFirstEngine
 {
   public:
-    /** Shares the rf×co engines' counter block (plus rfSat*). */
+    /** Shares the brute engine's counter block (plus rfSat*). */
     using Stats = Enumerator::Stats;
 
+    /** `opts` is accepted for symmetry with Enumerator; unused. */
     RfFirstEngine(const Program &prog, const RunBudget &budget,
-                  const EnumerateOptions &opts,
+                  const EnumerateOptions & /*opts*/,
                   rel::SaturationSupport support)
-        : prog_(prog), budget_(budget), opts_(opts), support_(support)
+        : prog_(prog), budget_(budget), support_(support)
     {}
 
     /**
@@ -79,12 +90,18 @@ class RfFirstEngine
   private:
     const Program &prog_;
     RunBudget budget_;
-    EnumerateOptions opts_;
     rel::SaturationSupport support_;
     Stats stats_;
     Completeness completeness_ = Completeness::Complete;
     BoundKind tripped_ = BoundKind::None;
-    /** Same lifetime discipline as Enumerator::arena_. */
+    /**
+     * Word storage for the staged derived relations: fully reset at
+     * each path-combo boundary — the static-stage lifetime — while
+     * the rf- and co-stage relations reuse their allocations in
+     * place across reruns (see CandidateExecution::ensureRel), so
+     * the steady state allocates nothing per candidate.  One arena
+     * per engine; parallel sweeps hold one engine per worker.
+     */
     RelationArena arena_;
 };
 

@@ -89,7 +89,7 @@ filterLoop(Engine &en, const Program &prog, const Model &model,
 /**
  * Dispatch on the engine choice.  The rf-first engine must only
  * skip candidates this very model rejects, so it is handed the
- * model's saturation promises; the rf×co engines are
+ * model's saturation promises; the brute reference is
  * model-independent.
  */
 RunResult

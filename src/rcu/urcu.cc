@@ -130,6 +130,13 @@ UrcuDomain::reclaimerLoop()
             cb();
             cbDone_.fetch_add(1, std::memory_order_release);
         }
+        {
+            // rcuBarrier checks cbDone_ under cbLock_ and then
+            // sleeps; passing through the lock here means it is
+            // either asleep (and gets the notify) or has not checked
+            // yet (and sees the new count), never in between.
+            std::lock_guard<std::mutex> guard(cbLock_);
+        }
         cbCv_.notify_all();
     }
 }

@@ -107,7 +107,7 @@ runOne(const std::string &frame,
         // Engine mode travels by name; absent (an older parent)
         // means the default engine.
         EngineConfig engine;
-        engine.setMode(req.getString("engine", "incremental"));
+        engine.setMode(req.getString("engine", engine.modeName()));
 
         const RunResult run =
             runTest(prog, *model, budget, engine.enumerate);

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -219,37 +218,6 @@ TEST_F(FaultPlanTest, SetPlansReplacesAndEmptyListDeactivates)
     setPlans({}); // replace with nothing: fully disarmed
     checkSite(site::kBatchItem);
     EXPECT_FALSE(planFired());
-}
-
-/**
- * The LKMM_FAULT_INJECT deprecation shim.  The env vars are read
- * once per process under a call_once, so this needs a fresh
- * process: a threadsafe-style death test re-executes the binary,
- * and the statement below runs before anything touches the fault
- * machinery in that child.  The shim must warn on stderr (matched
- * by EXPECT_EXIT), translate the soft point into an equivalent
- * plan, and keep the crash points on the legacy arming path.
- */
-TEST_F(FaultPlanTest, LegacyEnvVarShimsSoftPointsToPlansAndWarns)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_EXIT(
-        {
-            ::setenv("LKMM_FAULT_INJECT", "litmus-parse,hang", 1);
-            bool threw = false;
-            try {
-                checkSite(site::kLitmusParse);
-            } catch (const StatusError &) {
-                threw = true; // the shimmed plan fired
-            }
-            if (threw && planFired() && armed(Point::Hang) &&
-                !armed(Point::LitmusParse)) {
-                std::_Exit(42);
-            }
-            std::_Exit(1);
-        },
-        ::testing::ExitedWithCode(42),
-        "LKMM_FAULT_INJECT is deprecated");
 }
 
 } // namespace

@@ -10,11 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <optional>
+#include <string>
+#include <utility>
 
 #include "base/budget.hh"
 #include "base/status.hh"
 #include "cat/eval.hh"
 #include "diy/generator.hh"
+#include "exec/engine_config.hh"
 #include "exec/enumerate.hh"
 #include "lkmm/catalog.hh"
 #include "lkmm/runner.hh"
@@ -197,6 +201,88 @@ TEST(BudgetedRunner, QuickVerdictDegrades)
     EXPECT_EQ(quickVerdict(p, model, b), Verdict::Unknown);
     EXPECT_EQ(quickVerdict(p, model), Verdict::Forbid);
     EXPECT_EQ(quickVerdict(sb(), model), Verdict::Allow);
+}
+
+// Engine flags -------------------------------------------------------
+
+/** Parse one engine flag with `value`; the thrown status, if any. */
+std::optional<Status>
+parseEngineFlag(EngineConfig &cfg, const std::string &flag,
+                const std::string &value)
+{
+    try {
+        EXPECT_TRUE(cfg.parseFlag(flag, [&] { return value; }));
+        return std::nullopt;
+    } catch (const StatusError &e) {
+        return e.status();
+    }
+}
+
+TEST(EngineFlags, CountsAcceptPlainDecimalDigits)
+{
+    EngineConfig cfg;
+    EXPECT_FALSE(parseEngineFlag(cfg, "--engine-max-candidates", "1000"));
+    EXPECT_EQ(cfg.budget.maxCandidates, 1000u);
+    EXPECT_FALSE(parseEngineFlag(cfg, "--engine-max-rf", "0"));
+    EXPECT_EQ(cfg.budget.maxRfAssignments, 0u);
+    EXPECT_FALSE(parseEngineFlag(cfg, "--engine-max-eval-steps",
+                                 "18446744073709551615"));
+    EXPECT_EQ(cfg.budget.maxEvalSteps, 18446744073709551615u);
+    EXPECT_FALSE(parseEngineFlag(cfg, "--engine-time-limit-ms", "250"));
+    EXPECT_EQ(cfg.budget.wallClock, 250ms);
+}
+
+TEST(EngineFlags, RejectsAnythingButDigitsThatFit)
+{
+    // Each of these once parsed to a silently wrong budget: 1e3 as a
+    // cap of 1, -1 as 2^64-1 (or, for the deadline, as "none"),
+    // 12abc as 12.
+    const std::pair<const char *, const char *> bad[] = {
+        {"--engine-max-candidates", "1e3"},
+        {"--engine-max-candidates", "-1"},
+        {"--engine-max-candidates", "12abc"},
+        {"--engine-max-candidates", "+5"},
+        {"--engine-max-candidates", " 5"},
+        {"--engine-max-candidates", ""},
+        {"--engine-max-candidates", "18446744073709551616"},
+        {"--engine-max-rf", "-1"},
+        {"--engine-max-eval-steps", "0x10"},
+        {"--engine-time-limit-ms", "-1"},
+        {"--engine-time-limit-ms", "1.5"},
+        {"--engine-time-limit-ms", "9223372036854775807"},
+    };
+    for (const auto &[flag, value] : bad) {
+        SCOPED_TRACE(std::string(flag) + " '" + value + "'");
+        EngineConfig cfg;
+        const std::optional<Status> st = parseEngineFlag(cfg, flag, value);
+        ASSERT_TRUE(st.has_value());
+        EXPECT_EQ(st->code(), StatusCode::InvalidArgument);
+        EXPECT_NE(st->message().find(flag), std::string::npos)
+            << st->message();
+        // A rejected value leaves the budget untouched.
+        EXPECT_TRUE(cfg.budget.isUnlimited());
+    }
+}
+
+TEST(EngineFlags, TwoModesDefaultingToRfFirst)
+{
+    EngineConfig cfg;
+    EXPECT_EQ(cfg.modeName(), "rf-first");
+    EXPECT_TRUE(cfg.enumerate.rfFirst);
+    EXPECT_FALSE(parseEngineFlag(cfg, "--engine", "brute"));
+    EXPECT_EQ(cfg.modeName(), "brute");
+    EXPECT_FALSE(cfg.enumerate.rfFirst);
+    EXPECT_FALSE(parseEngineFlag(cfg, "--engine", "rf-first"));
+    EXPECT_EQ(cfg.modeName(), "rf-first");
+    for (const char *gone : {"incremental", "incremental-noarena"}) {
+        SCOPED_TRACE(gone);
+        const std::optional<Status> st =
+            parseEngineFlag(cfg, "--engine", gone);
+        ASSERT_TRUE(st.has_value());
+        EXPECT_EQ(st->code(), StatusCode::InvalidArgument);
+        EXPECT_NE(st->message().find("brute"), std::string::npos);
+        EXPECT_NE(st->message().find("rf-first"), std::string::npos);
+    }
 }
 
 // Cat evaluator step budget ------------------------------------------

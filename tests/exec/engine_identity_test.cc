@@ -1,10 +1,12 @@
 /**
  * @file
- * Cross-engine differential harness: the three enumeration engines
- * (brute, incremental, rf-first) must be observationally identical.
+ * Cross-engine differential harness: three columns must be
+ * observationally identical — the brute reference, rf-first with
+ * saturation support withdrawn (the staged engine alone), and
+ * rf-first with the model's own support (staging plus saturation).
  *
  * For every corpus entry (paper catalog, litmus tree, edge corpus,
- * 4-/5-thread scaling corpus) and every registry model, the engines
+ * 4-/5-thread scaling corpus) and every registry model, the columns
  * must agree on
  *
  *  - the RunResult: verdict, allowedCandidates, witnesses,
@@ -27,6 +29,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -37,6 +40,7 @@
 #include "lkmm/catalog.hh"
 #include "lkmm/runner.hh"
 #include "model/registry.hh"
+#include "support/unsaturated_model.hh"
 
 namespace lkmm
 {
@@ -76,8 +80,6 @@ catalogEntries()
     return out;
 }
 
-const char *const kEngines[] = {"brute", "incremental", "rf-first"};
-
 EnumerateOptions
 engineOpts(const std::string &mode)
 {
@@ -94,8 +96,9 @@ engineOpts(const std::string &mode)
  * brute engine, so per-model re-enumeration would multiply that
  * by 8.
  *
- * rf-first passes each model's own saturationSupport(), exactly as
- * the runner does; the other engines ignore it.
+ * rf-first runs under `support`: each model's own, exactly as the
+ * runner passes it, or none for the support-withdrawn column.  The
+ * brute engine ignores it.
  */
 std::vector<std::vector<std::string>>
 allowedFingerprints(const Program &prog,
@@ -172,19 +175,19 @@ checkCorpus(const std::vector<Entry> &entries)
     for (const Entry &entry : entries) {
         SCOPED_TRACE(entry.name);
 
-        // Allowed-execution identity.  brute and incremental ignore
-        // saturation support, so one multi-model pass each suffices;
-        // rf-first's candidate stream depends on the model's support,
-        // so it gets one pass per model, exactly as the runner would
-        // drive it.
+        // Allowed-execution identity.  brute and support-withdrawn
+        // rf-first are model-independent, so one multi-model pass
+        // each suffices; rf-first's stream depends on the model's
+        // support, so it gets one pass per model, exactly as the
+        // runner would drive it.
         const auto refPrints = allowedFingerprints(
             entry.prog, models, engineOpts("brute"), {});
-        const auto incPrints = allowedFingerprints(
-            entry.prog, models, engineOpts("incremental"), {});
+        const auto unsatPrints = allowedFingerprints(
+            entry.prog, models, engineOpts("rf-first"), {});
         for (std::size_t m = 0; m < models.size(); ++m) {
             expectSameAllowedSet(entry.name, modelNames[m], "brute",
-                                 refPrints[m], "incremental",
-                                 incPrints[m]);
+                                 refPrints[m], "rf-first-unsaturated",
+                                 unsatPrints[m]);
             const auto rfPrints = allowedFingerprints(
                 entry.prog, {models[m]}, engineOpts("rf-first"),
                 models[m]->saturationSupport());
@@ -194,27 +197,37 @@ checkCorpus(const std::vector<Entry> &entries)
         }
 
         // RunResult identity through the full runner, every model
-        // and engine.
+        // and column.
         for (std::size_t m = 0; m < models.size(); ++m) {
             SCOPED_TRACE(modelNames[m]);
             const RunResult ref =
                 runTest(entry.prog, *models[m], RunBudget::unlimited(),
                         engineOpts("brute"));
             EXPECT_EQ(refPrints[m].size(), ref.allowedCandidates);
-            for (const char *mode : {"incremental", "rf-first"}) {
-                SCOPED_TRACE(mode);
+            const UnsaturatedModel unsaturated(*models[m]);
+            const std::pair<const char *, const Model *> columns[] = {
+                {"rf-first-unsaturated", &unsaturated},
+                {"rf-first", models[m]},
+            };
+            for (const auto &[column, model] : columns) {
+                SCOPED_TRACE(column);
                 const RunResult res =
-                    runTest(entry.prog, *models[m],
-                            RunBudget::unlimited(), engineOpts(mode));
+                    runTest(entry.prog, *model, RunBudget::unlimited(),
+                            engineOpts("rf-first"));
                 EXPECT_EQ(res.verdict, ref.verdict)
                     << "verdict diverges for test '" << entry.name
                     << "' under model " << modelNames[m] << " ("
-                    << mode << " vs brute)";
+                    << column << " vs brute)";
                 EXPECT_EQ(res.allowedCandidates, ref.allowedCandidates);
                 EXPECT_EQ(res.witnesses, ref.witnesses);
                 EXPECT_EQ(res.allowedFinalStates,
                           ref.allowedFinalStates);
                 EXPECT_EQ(res.completeness, ref.completeness);
+                // Without saturation the staged engine delivers
+                // brute's stream, candidate for candidate.
+                if (model == &unsaturated) {
+                    EXPECT_EQ(res.candidates, ref.candidates);
+                }
             }
         }
     }

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/enumerate.hh"
+#include "exec/rf_engine.hh"
 #include "litmus/parser.hh"
 #include "litmus/printer.hh"
 #include "lkmm/runner.hh"
@@ -43,10 +44,7 @@ exerciseWithoutCrashing(const std::string &name)
     EXPECT_EQ(prog.name, reparsed.name);
     EXPECT_EQ(prog.threads.size(), reparsed.threads.size());
 
-    for (bool prune : {true, false}) {
-        EnumerateOptions opts;
-        opts.prune = prune;
-        Enumerator en(prog, opts);
+    const auto exercise = [](auto &en) {
         std::size_t seen = 0;
         en.forEach([&](const CandidateExecution &) {
             ++seen;
@@ -54,7 +52,12 @@ exerciseWithoutCrashing(const std::string &name)
         });
         EXPECT_EQ(en.completeness(), Completeness::Complete);
         EXPECT_EQ(seen, en.stats().candidates);
-    }
+    };
+    Enumerator brute(prog);
+    exercise(brute);
+    RfFirstEngine rfFirst(prog, RunBudget::unlimited(), {},
+                          LkmmModel().saturationSupport());
+    exercise(rfFirst);
     return prog;
 }
 
@@ -89,8 +92,12 @@ TEST(EdgeCases, WriteOnlyProgram)
 TEST(EdgeCases, ReadOnlyProgram)
 {
     const Program prog = exerciseWithoutCrashing("read-only");
-    // Every read can only see the init writes.
-    RunResult res = runTest(prog, LkmmModel());
+    // Every read can only see the init writes.  Raw candidate counts
+    // are the brute reference's; rf-first's depend on the model.
+    EnumerateOptions brute;
+    brute.rfFirst = false;
+    RunResult res =
+        runTest(prog, LkmmModel(), RunBudget::unlimited(), brute);
     EXPECT_EQ(res.candidates, 1u);
     EXPECT_EQ(res.verdict, Verdict::Allow);
 }

@@ -12,11 +12,11 @@
  * are recorded by rerunning the binary with --regen-golden, which
  * rewrites the snapshot in place (in the source tree) for review.
  *
- * The suite also locks down the incremental enumerator directly:
- * with pruning on and off, the candidate multiset (rf witness, co
- * witness, final state — order-insensitive) and the verdict under
- * every registry model must be identical.  prune=false is the
- * brute-force reference engine, so this is an oracle test of the
+ * The suite also locks down the staged rf-first engine directly:
+ * with saturation support withdrawn it must deliver the brute-force
+ * reference's candidate stream (rf witness, co witness, final
+ * state, in order), and the same verdict under every registry
+ * model.  This is an oracle test of the staging and
  * pruning logic, not a snapshot.
  */
 
@@ -24,17 +24,20 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "base/json.hh"
+#include "exec/rf_engine.hh"
 #include "litmus/parser.hh"
 #include "lkmm/catalog.hh"
 #include "lkmm/runner.hh"
 #include "model/registry.hh"
 #include "relation/arena.hh"
+#include "support/unsaturated_model.hh"
 
 namespace lkmm
 {
@@ -91,13 +94,15 @@ liveEntry(const CorpusEntry &entry)
     o["name"] = json::Value(entry.name);
 
     json::Object models;
-    std::size_t candidates = 0;
     for (const ModelInfo &info : registry.listModels()) {
         RunResult res = runTest(entry.prog, *registry.make(info.name));
         models[info.name] = json::Value(verdictName(res.verdict));
-        candidates = res.candidates; // model-independent
     }
-    o["candidates"] = json::Value(candidates);
+    // The brute reference's count is model-independent; rf-first's
+    // depends on the model's saturation support.
+    Enumerator brute(entry.prog);
+    brute.forEach([](const CandidateExecution &) { return true; });
+    o["candidates"] = json::Value(brute.stats().candidates);
     o["verdict"] = models["lkmm"];
     o["models"] = json::Value(std::move(models));
     return json::Value(std::move(o));
@@ -125,15 +130,15 @@ slurp(const std::string &path)
 }
 
 /**
- * Order-insensitive fingerprint of a candidate stream: one line per
- * candidate (rf witness, co witness, final state), sorted.
+ * Fingerprint of a candidate stream: one line per candidate (rf
+ * witness, co witness, final state), in delivery order.  Without
+ * saturation support the staged engine must deliver the brute
+ * stream in the same order, not merely the same multiset.
  */
+template <typename Engine>
 std::vector<std::string>
-candidateFingerprints(const Program &prog, bool prune)
+candidateFingerprints(Engine &&en)
 {
-    EnumerateOptions opts;
-    opts.prune = prune;
-    Enumerator en(prog, opts);
     std::vector<std::string> prints;
     en.forEach([&](const CandidateExecution &ex) {
         prints.push_back("rf=" + ex.rf.toString() +
@@ -141,8 +146,22 @@ candidateFingerprints(const Program &prog, bool prune)
                          " final=" + ex.finalStateString());
         return true;
     });
-    std::sort(prints.begin(), prints.end());
     return prints;
+}
+
+/** The staged engine with saturation support withdrawn. */
+std::vector<std::string>
+stagedFingerprints(const Program &prog)
+{
+    return candidateFingerprints(
+        RfFirstEngine(prog, RunBudget::unlimited(), {}, {}));
+}
+
+/** The brute-force reference. */
+std::vector<std::string>
+bruteFingerprints(const Program &prog)
+{
+    return candidateFingerprints(Enumerator(prog));
 }
 
 TEST(GoldenConformance, MatchesCheckedInSnapshot)
@@ -200,8 +219,8 @@ TEST(GoldenConformance, TinyArenaGrowthPreservesFingerprints)
     RelationArena::setInitialWordsForTest(1);
     for (const CorpusEntry &entry : corpus()) {
         SCOPED_TRACE(entry.name);
-        EXPECT_EQ(candidateFingerprints(entry.prog, /*prune=*/true),
-                  candidateFingerprints(entry.prog, /*prune=*/false));
+        EXPECT_EQ(stagedFingerprints(entry.prog),
+                  bruteFingerprints(entry.prog));
     }
     RelationArena::setInitialWordsForTest(0);
 }
@@ -211,25 +230,25 @@ TEST(GoldenConformance, PruningPreservesCandidatesAndVerdicts)
     const ModelRegistry &registry = ModelRegistry::instance();
     for (const CorpusEntry &entry : corpus()) {
         SCOPED_TRACE(entry.name);
-        EXPECT_EQ(candidateFingerprints(entry.prog, /*prune=*/true),
-                  candidateFingerprints(entry.prog, /*prune=*/false));
+        EXPECT_EQ(stagedFingerprints(entry.prog),
+                  bruteFingerprints(entry.prog));
 
         // The per-model RunResult comparison is skipped for scale/
         // entries: engine_identity_test performs the identical
-        // brute-vs-incremental comparison there (plus rf-first), and
-        // the scale corpus is expensive enough under sanitizers that
+        // comparison there (plus rf-first with saturation), and the
+        // scale corpus is expensive enough under sanitizers that
         // paying for it twice matters.  The full-multiset fingerprint
         // check above still covers every entry.
         if (entry.name.rfind("scale/", 0) == 0)
             continue;
-        EnumerateOptions pruned, brute;
-        brute.prune = false;
+        EnumerateOptions staged, brute;
+        brute.rfFirst = false;
         for (const ModelInfo &info : registry.listModels()) {
             SCOPED_TRACE(info.name);
-            RunResult on = runTest(entry.prog, *registry.make(info.name),
-                                   RunBudget::unlimited(), pruned);
-            RunResult off = runTest(entry.prog,
-                                    *registry.make(info.name),
+            const std::unique_ptr<Model> model = registry.make(info.name);
+            RunResult on = runTest(entry.prog, UnsaturatedModel(*model),
+                                   RunBudget::unlimited(), staged);
+            RunResult off = runTest(entry.prog, *model,
                                     RunBudget::unlimited(), brute);
             EXPECT_EQ(on.verdict, off.verdict);
             EXPECT_EQ(on.candidates, off.candidates);

@@ -217,5 +217,40 @@ TEST(CacheKey, FingerprintNormalizesSpellingModelSplitsKeys)
         << "same test under another model is another entry";
 }
 
+TEST(CacheKey, RetiredEngineKeysReplayButNeverMatch)
+{
+    // A journal written when "incremental" was the default engine:
+    // its keys still replay, they just never match a new request.
+    const std::string fp = canonicalFingerprint(
+        parseLitmus("C MP\n{ x=0; y=0; }\n"
+                    "P0(int *x, int *y) {\n"
+                    "  WRITE_ONCE(*x, 1);\n"
+                    "  WRITE_ONCE(*y, 1);\n}\n"
+                    "P1(int *x, int *y) {\n"
+                    "  int r0 = READ_ONCE(*y);\n"
+                    "  int r1 = READ_ONCE(*x);\n}\n"
+                    "exists (1:r0=1 /\\ 1:r1=0)\n"),
+        "");
+    const std::string key = cacheKey(fp, "lkmm", EngineConfig{});
+    const std::string current = "\"engine\":\"rf-first\"";
+    const std::size_t at = key.find(current);
+    ASSERT_NE(at, std::string::npos) << key;
+    std::string oldKey = key;
+    oldKey.replace(at, current.size(), "\"engine\":\"incremental\"");
+
+    CacheOptions opts;
+    opts.path = journalPath("retired-engine");
+    {
+        VerdictCache cache(opts);
+        cache.insert(oldKey, result("MP", "Allow"));
+        cache.close();
+    }
+    VerdictCache warm(opts);
+    EXPECT_EQ(warm.stats().recoveredEntries, 1u);
+    EXPECT_FALSE(warm.stats().droppedTail);
+    EXPECT_FALSE(warm.lookup(key).has_value());
+    EXPECT_TRUE(warm.lookup(oldKey).has_value());
+}
+
 } // namespace
 } // namespace lkmm::serve

@@ -194,6 +194,9 @@ TEST(Server, QueueFullShedsWithSoundUnknown)
     ServeOptions opts;
     opts.socketPath = socketPath("shed");
     opts.workers = 1;
+    // The brute engine's rf x co stream keeps HUGE busy far past its
+    // deadline; rf-first saturates its coherence in under a second.
+    opts.engine.setMode("brute");
     opts.maxPending = 1;
     Server server(opts);
     server.start();
@@ -239,6 +242,9 @@ TEST(Server, QueuedPastDeadlineShedsWithoutRunning)
     ServeOptions opts;
     opts.socketPath = socketPath("deadline");
     opts.workers = 1;
+    // The brute engine's rf x co stream keeps HUGE busy far past its
+    // deadline; rf-first saturates its coherence in under a second.
+    opts.engine.setMode("brute");
     opts.maxPending = 8;
     Server server(opts);
     server.start();

@@ -139,12 +139,6 @@ usage()
         "                      (rfPruned, coPruned,\n"
         "                      partialValuationRejects); the json\n"
         "                      summary always carries them\n"
-        "\n"
-        "enumeration:\n"
-        "  --no-prune          brute-force engine: disable the\n"
-        "                      incremental pruning (same results;\n"
-        "                      reference/baseline mode; alias for\n"
-        "                      --engine brute)\n"
         "\n%s",
         lkmm::EngineConfig::flagHelp());
     return 1;
@@ -261,12 +255,11 @@ main(int argc, char **argv)
             else if (arg == "--resume")
                 opts.resume = true;
             else if (arg == "--time-limit-ms")
-                opts.engine.budget.wallClock =
-                    std::chrono::milliseconds(std::stoll(next()));
+                opts.engine.parseFlag("--engine-time-limit-ms", next);
             else if (arg == "--max-candidates")
-                opts.engine.budget.maxCandidates = std::stoull(next());
+                opts.engine.parseFlag("--engine-max-candidates", next);
             else if (arg == "--max-rf")
-                opts.engine.budget.maxRfAssignments = std::stoull(next());
+                opts.engine.parseFlag("--engine-max-rf", next);
             else if (arg == "--retries")
                 opts.retry.budgetRetries = std::stoi(next());
             else if (arg == "--escalation")
@@ -279,8 +272,6 @@ main(int argc, char **argv)
                 quiet = true;
             else if (arg == "--stats")
                 showStats = true;
-            else if (arg == "--no-prune")
-                opts.engine.setMode("brute");
             else if (opts.engine.parseFlag(arg, next))
                 ; // shared --engine-family flag
             else if (arg == "--help" || arg == "-h")
