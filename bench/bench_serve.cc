@@ -12,14 +12,8 @@
  *
  * Everything crosses the real wire — connect, frame, parse — so the
  * warm figure is an honest end-to-end number, not a map lookup in a
- * loop.
- *
- * A third axis compares execution tiers: isolated (the crash-only
- * forked worker pool, the default) versus inproc (PR-4 in-thread
- * engine).  Warm hits never leave the connection thread in either
- * tier, so the isolation tax on the cache path must stay within 2x —
- * the CI gate that keeps crash-only serving from quietly becoming a
- * cache slowdown.
+ * loop.  Cold requests also pay the round trip to a forked worker;
+ * WorkerIsolation.WarmHitsNeverReachAWorker pins that hits do not.
  */
 
 #include <benchmark/benchmark.h>
@@ -128,17 +122,14 @@ issueRequests(const std::string &socketPath, int clients,
 }
 
 /**
- * Args: (clients, warm, isolated).  Warm runs prime the cache once
- * outside the timed region; cold runs set nocache so every request
- * verifies.  isolated=1 serves through the forked worker pool,
- * isolated=0 through the in-process engine.
+ * Args: (clients, warm).  Warm runs prime the cache once outside the
+ * timed region; cold runs set nocache so every request verifies.
  */
 void
 BM_ServeRequests(benchmark::State &state)
 {
     const int clients = static_cast<int>(state.range(0));
     const bool warm = state.range(1) != 0;
-    const bool isolated = state.range(2) != 0;
     const int perClient = 4;
 
     serve::ServeOptions opts;
@@ -146,8 +137,6 @@ BM_ServeRequests(benchmark::State &state)
                       std::to_string(::getpid()) + ".sock";
     opts.workers = ThreadPool::hardwareThreads();
     opts.maxPending = 0; // unbounded: measure throughput, not sheds
-    opts.isolation = isolated ? serve::ServeIsolation::Workers
-                              : serve::ServeIsolation::InProcess;
     serve::Server server(opts);
     server.start();
 
@@ -164,18 +153,14 @@ BM_ServeRequests(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(requests));
     state.counters["clients"] = static_cast<double>(clients);
     state.counters["warm"] = warm ? 1.0 : 0.0;
-    state.counters["isolated"] = isolated ? 1.0 : 0.0;
 }
 BENCHMARK(BM_ServeRequests)
-    ->Args({1, 0, 0})
-    ->Args({1, 1, 0})
-    ->Args({4, 0, 0})
-    ->Args({4, 1, 0})
-    ->Args({4, 0, 1})
-    ->Args({4, 1, 1})
-    ->Args({static_cast<long>(ThreadPool::hardwareThreads()), 0, 0})
-    ->Args({static_cast<long>(ThreadPool::hardwareThreads()), 1, 0})
-    ->Args({static_cast<long>(ThreadPool::hardwareThreads()), 1, 1})
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->Args({4, 0})
+    ->Args({4, 1})
+    ->Args({static_cast<long>(ThreadPool::hardwareThreads()), 0})
+    ->Args({static_cast<long>(ThreadPool::hardwareThreads()), 1})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

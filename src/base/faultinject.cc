@@ -333,16 +333,16 @@ siteRegistry()
         {site::kJsonSerialize, "canonical JSON serialization",
          kErr | kMem},
         {site::kJsonParse, "JSON parsing", kErr},
-        {site::kSubprocessPipe, "sandbox pipe2()", kErr | kMem},
+        {site::kSubprocessPipe, "sandbox socketpair()", kErr | kMem},
         {site::kSubprocessFork, "sandbox fork()", kErr | kMem},
         {site::kSubprocessChildWrite, "sandboxed child result write",
          kErr | kEintr},
-        {site::kSubprocessRead, "parent result-pipe read",
+        {site::kSubprocessRead, "parent channel read",
          kErr | kEintr},
         {site::kSubprocessKill, "watchdog SIGKILL", kErr},
         {site::kSubprocessWaitpid, "child reaping waitpid",
          kErr | kEintr},
-        {site::kSubprocessPoll, "result-pipe poll", kErr | kEintr},
+        {site::kSubprocessPoll, "watchdog channel poll", kErr | kEintr},
         {site::kSchedulerPost, "thread-pool task post", kErr | kMem},
         {site::kSchedulerTask, "thread-pool task dispatch", kErr},
         {site::kSweepEncode, "sweep-journal record encode",
@@ -359,7 +359,7 @@ siteRegistry()
         {site::kServeCacheWrite, "serve verdict-cache append",
          kErr | kCrash | kHang | kMem},
         {site::kServeWorkerSpawn,
-         "serve worker-process spawn (socketpair + fork)",
+         "serve worker-process spawn, before the sandbox spawn",
          kErr | kMem},
         {site::kServeWorkerDispatch,
          "serve worker dispatch round-trip framing (parent side)",

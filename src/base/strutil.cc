@@ -1,8 +1,11 @@
 #include "base/strutil.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
+
+#include "base/status.hh"
 
 namespace lkmm
 {
@@ -97,6 +100,23 @@ format(const char *fmt, ...)
         std::vsnprintf(out.data(), out.size() + 1, fmt, ap2);
     va_end(ap2);
     return out;
+}
+
+std::uint64_t
+parseCount(const std::string &flag, const std::string &text,
+           std::uint64_t max)
+{
+    std::uint64_t v = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end || v > max) {
+        throw StatusError(Status(
+            StatusCode::InvalidArgument,
+            "bad value '" + text + "' for " + flag +
+                " (expected decimal digits, at most " +
+                std::to_string(max) + ")"));
+    }
+    return v;
 }
 
 } // namespace lkmm

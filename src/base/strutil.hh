@@ -1,11 +1,13 @@
 /**
  * @file
- * Small string helpers shared by the parsers and table printers.
+ * Small string helpers shared by the parsers, table printers and
+ * command-line front ends.
  */
 
 #ifndef LKMM_BASE_STRUTIL_HH
 #define LKMM_BASE_STRUTIL_HH
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -35,6 +37,27 @@ std::string humanCount(std::uint64_t n);
 /** printf-style formatting into a std::string. */
 std::string format(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/**
+ * Parse the value of a numeric command-line flag: plain decimal
+ * digits whose value is at most `max`.  Anything else — a sign, an
+ * exponent, a suffix, an overflow — throws
+ * StatusError(InvalidArgument) naming `flag`.
+ */
+std::uint64_t parseCount(const std::string &flag, const std::string &text,
+                         std::uint64_t max = UINT64_MAX);
+
+/** parseCount for a duration flag, capped so it fits in nanoseconds. */
+template <typename Duration>
+Duration
+parseDuration(const std::string &flag, const std::string &text)
+{
+    const auto max = std::chrono::duration_cast<Duration>(
+                         std::chrono::nanoseconds::max())
+                         .count();
+    return Duration(static_cast<typename Duration::rep>(
+        parseCount(flag, text, static_cast<std::uint64_t>(max))));
+}
 
 } // namespace lkmm
 

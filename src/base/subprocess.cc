@@ -1,15 +1,19 @@
 #include "base/subprocess.hh"
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include <dirent.h>
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -87,12 +91,14 @@ Outcome::describe() const
 }
 
 Child
-Child::spawn(const std::function<std::string()> &work, const Limits &limits)
+Child::spawn(const Body &body, const Limits &limits)
 {
-    int pipefd[2];
-    if (retryEintr(site::kSubprocessPipe, EMFILE,
-                   [&] { return ::pipe2(pipefd, O_CLOEXEC); }) != 0) {
-        sysError("pipe2 failed");
+    int sv[2];
+    if (retryEintr(site::kSubprocessPipe, EMFILE, [&] {
+            return ::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0,
+                                sv);
+        }) != 0) {
+        sysError("socketpair failed");
     }
 
     // fork's characteristic transient failure is EAGAIN (pid/rlimit
@@ -102,8 +108,8 @@ Child::spawn(const std::function<std::string()> &work, const Limits &limits)
                            [&] { return ::fork(); });
     if (pid < 0) {
         int saved = errno;
-        ::close(pipefd[0]);
-        ::close(pipefd[1]);
+        ::close(sv[0]);
+        ::close(sv[1]);
         errno = saved;
         sysError("fork failed");
     }
@@ -112,48 +118,49 @@ Child::spawn(const std::function<std::string()> &work, const Limits &limits)
         // Child.  Only _exit from here on: running atexit handlers
         // or flushing the parent's stdio buffers in a forked copy
         // would corrupt the parent's output.
-        ::close(pipefd[0]);
-        // A parent that died early must not leave us writing to a
-        // broken pipe forever.
-        ::signal(SIGPIPE, SIG_DFL);
+        ::close(sv[0]);
         if (limits.newProcessGroup) {
             // Become our own group leader so the watchdog can kill
             // the whole group and leak scans can find stragglers.
             ::setpgid(0, 0);
         }
         applyLimits(limits);
-        int code = 0;
+        int code = kCallbackError;
         try {
-            writeAll(pipefd[1], work());
+            code = body(sv[1]);
         } catch (...) {
-            code = kCallbackError;
         }
-        ::close(pipefd[1]);
         ::_exit(code);
     }
 
     // Parent.
-    ::close(pipefd[1]);
+    ::close(sv[1]);
     Child child;
     child.pid_ = pid;
-    child.fd_ = pipefd[0];
+    child.fd_ = sv[0];
     child.processGroup_ = limits.newProcessGroup;
-    if (limits.deadline.count() > 0) {
-        child.hasDeadline_ = true;
+    if (limits.deadline.count() > 0)
         child.deadline_ = std::chrono::steady_clock::now() + limits.deadline;
-    }
     return child;
 }
 
-Child::Child(Child &&other) noexcept
-    : pid_(other.pid_), fd_(other.fd_),
-      processGroup_(other.processGroup_), timedOut_(other.timedOut_),
-      finished_(other.finished_), hasDeadline_(other.hasDeadline_),
-      deadline_(other.deadline_), output_(std::move(other.output_))
+Child
+Child::spawn(const std::function<std::string()> &work, const Limits &limits)
 {
-    other.pid_ = -1;
-    other.fd_ = -1;
-    other.finished_ = true;
+    return spawn(
+        [&work](int channel) {
+            // A parent that died early must not leave us writing to
+            // a broken channel forever.
+            ::signal(SIGPIPE, SIG_DFL);
+            writeAll(channel, work());
+            return 0;
+        },
+        limits);
+}
+
+Child::Child(Child &&other) noexcept
+{
+    *this = std::move(other);
 }
 
 Child &
@@ -161,17 +168,14 @@ Child::operator=(Child &&other) noexcept
 {
     if (this != &other) {
         reapForDestructor();
-        pid_ = other.pid_;
-        fd_ = other.fd_;
+        pid_ = std::exchange(other.pid_, -1);
+        fd_ = std::exchange(other.fd_, -1);
         processGroup_ = other.processGroup_;
+        killRequested_ = other.killRequested_;
         timedOut_ = other.timedOut_;
-        finished_ = other.finished_;
-        hasDeadline_ = other.hasDeadline_;
+        finished_ = std::exchange(other.finished_, true);
         deadline_ = other.deadline_;
         output_ = std::move(other.output_);
-        other.pid_ = -1;
-        other.fd_ = -1;
-        other.finished_ = true;
     }
     return *this;
 }
@@ -179,6 +183,15 @@ Child::operator=(Child &&other) noexcept
 Child::~Child()
 {
     reapForDestructor();
+}
+
+void
+Child::signalKill()
+{
+    if (processGroup_)
+        ::kill(-pid_, SIGKILL);
+    else
+        ::kill(pid_, SIGKILL);
 }
 
 void
@@ -191,10 +204,7 @@ Child::reapForDestructor()
     if (pid_ > 0 && !finished_) {
         // No injection here: the destructor is the last line of
         // defense against process leaks and must stay infallible.
-        if (processGroup_)
-            ::kill(-pid_, SIGKILL);
-        else
-            ::kill(pid_, SIGKILL);
+        signalKill();
         int status;
         while (::waitpid(pid_, &status, 0) < 0 && errno == EINTR) {
         }
@@ -233,33 +243,43 @@ Child::onReadable()
 }
 
 void
+Child::kill()
+{
+    if (pid_ <= 0 || finished_)
+        return;
+    killRequested_ = true;
+    // An injected kill failure leaves the child running for now;
+    // finish() repeats the SIGKILL uninjected before it blocks.
+    if (faultinject::checkSiteErrno(site::kSubprocessKill, EPERM) != 0)
+        return;
+    signalKill();
+}
+
+void
 Child::killTimedOut()
 {
-    if (pid_ > 0 && !finished_) {
+    if (pid_ > 0 && !finished_)
         timedOut_ = true;
-        // An injected kill failure leaves the child running; finish()
-        // then blocks until it exits on its own, and the destructor
-        // path still reaps it — degraded, never leaked.
-        if (faultinject::checkSiteErrno(site::kSubprocessKill, EPERM) != 0)
-            return;
-        if (processGroup_)
-            ::kill(-pid_, SIGKILL);
-        else
-            ::kill(pid_, SIGKILL);
-    }
+    kill();
 }
 
 Outcome
 Child::finish()
 {
+    // A child whose kill was requested may still be running (the
+    // kill failed); the drain below would then block until it exits
+    // on its own, which a hung child never does.
+    if (killRequested_ && !finished_)
+        signalKill();
     // Drain whatever the child managed to write.  After SIGKILL or
-    // _exit the write end is closed, so this terminates at EOF.
+    // _exit its end is closed, so this terminates at EOF.
     while (fd_ >= 0)
         onReadable();
 
     Outcome outcome;
     outcome.output = std::move(output_);
     output_.clear();
+    outcome.pid = pid_;
 
     if (pid_ > 0 && !finished_) {
         int status = 0;
@@ -280,6 +300,82 @@ Child::finish()
         }
     }
     return outcome;
+}
+
+void
+Child::retire(std::chrono::milliseconds grace)
+{
+    try {
+        if (fd_ >= 0)
+            ::shutdown(fd_, SHUT_WR);
+        deadline_ = std::chrono::steady_clock::now() + grace;
+        const std::vector<Child *> self{this};
+        while (waitAny(self).empty()) {
+        }
+        finish();
+    } catch (...) {
+        // The destructor reaps without injection.
+    }
+}
+
+std::vector<std::size_t>
+waitAny(const std::vector<Child *> &children)
+{
+    std::vector<std::size_t> done;
+    if (children.empty())
+        return done;
+    std::vector<struct pollfd> fds;
+    fds.reserve(children.size());
+    int timeoutMs = -1;
+    const auto now = std::chrono::steady_clock::now();
+    for (const Child *child : children) {
+        // A child already at EOF needs no wait: poll ignores its -1.
+        if (child->fd_ < 0)
+            timeoutMs = 0;
+        fds.push_back({child->fd_, POLLIN, 0});
+        if (child->deadline_) {
+            const auto left =
+                std::chrono::duration_cast<std::chrono::milliseconds>(
+                    *child->deadline_ - now)
+                    .count();
+            const int ms = static_cast<int>(
+                std::clamp<decltype(left)>(left + 1, 0, INT_MAX));
+            timeoutMs = timeoutMs < 0 ? ms : std::min(timeoutMs, ms);
+        }
+    }
+
+    // poll's EINTR is handled by the caller's loop, NOT hidden in
+    // retryEintr: an EINTR wake-up is how cancellation tokens set
+    // from signal handlers get noticed (see base/eintr.hh).
+    int rc;
+    if (int injected = faultinject::checkSiteErrno(site::kSubprocessPoll,
+                                                   EIO)) {
+        errno = injected;
+        rc = -1;
+    } else {
+        rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
+                    timeoutMs);
+    }
+    if (rc < 0) {
+        if (errno == EINTR)
+            return done;
+        sysError("poll failed");
+    }
+
+    const auto after = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < children.size(); ++i) {
+        Child &child = *children[i];
+        bool finished = child.fd_ < 0;
+        if (!finished && (fds[i].revents & (POLLIN | POLLHUP | POLLERR)))
+            finished = child.onReadable();
+        if (!finished && child.deadline_ && after >= *child.deadline_) {
+            child.killTimedOut();
+            finished = true;
+        }
+        if (finished)
+            done.push_back(i);
+    }
+    return done;
 }
 
 void
@@ -340,42 +436,8 @@ Outcome
 runIsolated(const std::function<std::string()> &work, const Limits &limits)
 {
     Child child = Child::spawn(work, limits);
-    while (child.fd() >= 0) {
-        struct pollfd pfd;
-        pfd.fd = child.fd();
-        pfd.events = POLLIN;
-        pfd.revents = 0;
-
-        int timeoutMs = -1;
-        if (child.hasDeadline()) {
-            auto now = std::chrono::steady_clock::now();
-            if (child.pastDeadline(now)) {
-                child.killTimedOut();
-                break;
-            }
-            auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                child.deadline() - now);
-            timeoutMs = static_cast<int>(left.count()) + 1;
-        }
-
-        // poll's EINTR is handled at this level, NOT hidden in
-        // retryEintr: an EINTR wake-up is how cancellation tokens
-        // set from signal handlers get noticed (see base/eintr.hh).
-        int rc;
-        if (int injected = faultinject::checkSiteErrno(
-                site::kSubprocessPoll, EIO)) {
-            errno = injected;
-            rc = -1;
-        } else {
-            rc = ::poll(&pfd, 1, timeoutMs);
-        }
-        if (rc < 0) {
-            if (errno == EINTR)
-                continue;
-            sysError("poll failed");
-        }
-        if (rc > 0)
-            child.onReadable();
+    const std::vector<Child *> one{&child};
+    while (waitAny(one).empty()) {
     }
     return child.finish();
 }

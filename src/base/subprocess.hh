@@ -1,14 +1,23 @@
 /**
  * @file
- * A fork-per-task sandbox for crash isolation.
+ * The one process handle for crash isolation.
  *
  * The enumerator is exponential and the input corpus untrusted; a
  * segfault, OOM, or runaway loop in one test must cost exactly that
- * test, never the sweep.  Child::spawn forks, applies setrlimit
- * caps in the child, runs a callback whose string result travels
- * back over a pipe, and _exits.  The parent owns the watchdog: it
- * polls the result pipe with a wall-clock deadline and SIGKILLs a
- * child that overruns it.
+ * test, never the sweep or the daemon.  Every forked child in the
+ * tree goes through Child: Child::spawn forks, connects the child by
+ * one bidirectional socketpair channel, applies setrlimit caps in
+ * the child, runs a body on the channel, and _exits with the body's
+ * code.  Two bodies exist:
+ *
+ *   - the one-shot spawn(work): the callback's string result travels
+ *     back over the channel (fork-per-task sweeps, fuzz oracle
+ *     sides, chaos schedules);
+ *   - a persistent body that speaks frames until EOF on the channel
+ *     (the lkmm-serve worker tier).
+ *
+ * The parent owns the watchdog: waitAny polls a set of channels
+ * until the nearest deadline and SIGKILLs a child that overruns it.
  *
  * The exit protocol makes every failure mode distinguishable:
  *
@@ -17,16 +26,17 @@
  *   Exited(0)+output  callback completed; output is its payload
  *   Exited(!=0)       callback threw / runtime died "cleanly"
  *                     (sanitizer aborts land here too)
- *   Signaled(sig)     hard crash: SIGSEGV, SIGABRT, rlimit SIGKILL
+ *   Signaled(sig)     hard crash: SIGSEGV, SIGABRT, rlimit SIGKILL,
+ *                     or the parent's kill()
  *   TimedOut          parent watchdog killed a past-deadline child
  *
  * The caller maps these onto its own taxonomy (the batch runner
  * turns Signaled into TestFailure{phase:"crash"}).
  *
  * The child runs in a forked copy of the parent — no exec — so the
- * callback can use any library state, but it must not rely on
- * threads (only the forking thread survives fork) and must not
- * touch the parent's fds beyond the pipe it is given.
+ * body can use any library state, but it must not rely on threads
+ * (only the forking thread survives fork) and must not touch the
+ * parent's fds beyond the channel it is given.
  */
 
 #ifndef LKMM_BASE_SUBPROCESS_HH
@@ -35,6 +45,7 @@
 #include <chrono>
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -89,8 +100,13 @@ struct Outcome
     int exitCode = 0;
     /** Terminating signal when kind == Signaled. */
     int signal = 0;
-    /** Bytes the callback returned over the result pipe. */
+    /** Bytes the child wrote to the channel and nobody read. */
     std::string output;
+    /**
+     * The reaped child's pid; with Limits::newProcessGroup it is
+     * also the pgid a leak scan looks for.
+     */
+    pid_t pid = -1;
 
     bool ok() const { return kind == ExitKind::Exited && exitCode == 0; }
 
@@ -107,11 +123,26 @@ class Child
 {
   public:
     /**
-     * Fork and run work() in the child.  The returned string is
-     * written to the result pipe, then the child _exits(0).  A
-     * callback that throws makes the child _exit(kCallbackError)
-     * with nothing on the pipe.  Throws StatusError(Internal) when
-     * fork/pipe themselves fail.
+     * What a child runs on its end of the channel.  The return
+     * value is the child's exit code; a body that throws exits
+     * with kCallbackError.
+     */
+    using Body = std::function<int(int channel)>;
+
+    /**
+     * Fork a child connected to the parent by one SOCK_STREAM
+     * socketpair channel, apply `limits` in it, run body(channel)
+     * and _exit with its code — a child never returns into the
+     * forked copy of the parent's stack.  Throws
+     * StatusError(Internal) when socketpair/fork themselves fail.
+     */
+    static Child spawn(const Body &body, const Limits &limits = {});
+
+    /**
+     * The one-shot body: run work() in the child, write the
+     * returned string to the channel, _exit(0).  A callback that
+     * throws makes the child _exit(kCallbackError) with nothing on
+     * the channel.
      */
     static Child spawn(const std::function<std::string()> &work,
                        const Limits &limits = {});
@@ -127,57 +158,80 @@ class Child
 
     pid_t pid() const { return pid_; }
 
-    /** Result-pipe read end; -1 once the pipe has hit EOF. */
+    /** The parent's end of the channel; -1 once it has hit EOF. */
     int fd() const { return fd_; }
 
     /**
-     * Drain available pipe data (call when fd() polls readable).
-     * Returns true once EOF is reached — the child has no more
-     * output and can be reaped without blocking for long.
+     * SIGKILL the child (its whole group under
+     * Limits::newProcessGroup) without labelling the outcome: a
+     * child that already died keeps its own wait status.  Passes
+     * the subprocess-kill site; an injected failure only delays
+     * the kill until finish().
      */
-    bool onReadable();
+    void kill();
 
-    bool hasDeadline() const { return hasDeadline_; }
-    std::chrono::steady_clock::time_point deadline() const
-    {
-        return deadline_;
-    }
-
-    /** Past the deadline at time now? */
-    bool
-    pastDeadline(std::chrono::steady_clock::time_point now) const
-    {
-        return hasDeadline_ && now >= deadline_;
-    }
-
-    /** SIGKILL the child and record the outcome as TimedOut. */
+    /** kill(), recording the outcome as TimedOut: the watchdog's kill. */
     void killTimedOut();
 
     /**
      * Reap the child (blocking waitpid) and decode its outcome.
-     * Also drains any pipe data not yet consumed by onReadable().
+     * First drains any channel data not yet read; after kill()
+     * it repeats the SIGKILL, uninjected, so the drain cannot
+     * block on a child that is still running.
      */
     Outcome finish();
 
+    /**
+     * Retire a persistent child: half-close the channel (the child
+     * reads EOF, its signal to finish up and exit), wait up to
+     * `grace` for the exit, then SIGKILL; reap.  Never throws: a
+     * reap that fails is left to the destructor, so the child is
+     * never leaked.
+     */
+    void retire(std::chrono::milliseconds grace);
+
   private:
+    friend std::vector<std::size_t>
+    waitAny(const std::vector<Child *> &children);
+
     Child() = default;
 
+    /**
+     * Drain available channel data (call when fd() polls readable).
+     * Returns true once EOF is reached — the child has no more
+     * output and can be reaped without blocking for long.
+     */
+    bool onReadable();
+    void signalKill();
     void reapForDestructor();
 
     pid_t pid_ = -1;
     int fd_ = -1;
     bool processGroup_ = false;
+    bool killRequested_ = false;
     bool timedOut_ = false;
     bool finished_ = false;
-    bool hasDeadline_ = false;
-    std::chrono::steady_clock::time_point deadline_{};
+    std::optional<std::chrono::steady_clock::time_point> deadline_;
     std::string output_;
 };
 
 /**
- * Convenience wrapper: spawn, babysit the deadline, reap.  The
- * synchronous path used by tests and one-off callers; the batch
- * scheduler drives Child directly to overlap N children.
+ * The one watchdog wait: poll the channels of `children` until
+ * output arrives or the nearest deadline passes.  Drains what
+ * arrives, SIGKILLs every child past its deadline (outcome
+ * TimedOut), and returns the indices, in order, of the children
+ * that are done — at EOF or killed — and ready for finish().  The
+ * result may be empty: output that ended no child, or a signal that
+ * interrupted the poll, so a caller's loop re-checks its
+ * cancellation token before waiting again.  An empty set returns at
+ * once: there is nothing to wait for.  Throws StatusError(Internal)
+ * when poll fails.
+ */
+std::vector<std::size_t> waitAny(const std::vector<Child *> &children);
+
+/**
+ * The synchronous one-shot path: spawn(work), wait out the
+ * deadline, reap.
  */
 Outcome runIsolated(const std::function<std::string()> &work,
                     const Limits &limits = {});

@@ -13,7 +13,6 @@
 #include <thread>
 
 #include <dirent.h>
-#include <poll.h>
 #include <signal.h>
 #include <sys/un.h>
 
@@ -375,7 +374,7 @@ runWorkload(const ChaosOptions &opts, const std::string &scheduleDir,
 
 // Child protocol -----------------------------------------------------
 
-/** What a chaos child ships back over the result pipe. */
+/** What a chaos child ships back over its channel. */
 struct ChildPayload
 {
     std::string content; ///< canonical workload report ("" on error)
@@ -438,48 +437,6 @@ parsePayload(const std::string &output)
 }
 
 // Parent-side supervision --------------------------------------------
-
-/**
- * Spawn-and-babysit like subprocess::runIsolated, but exposing the
- * child's pid so the caller can run the process-group leak scan
- * after the reap.
- */
-subprocess::Outcome
-superviseChild(const std::function<std::string()> &work,
-               const subprocess::Limits &limits, pid_t *pidOut)
-{
-    subprocess::Child child = subprocess::Child::spawn(work, limits);
-    *pidOut = child.pid();
-    while (child.fd() >= 0) {
-        struct pollfd pfd;
-        pfd.fd = child.fd();
-        pfd.events = POLLIN;
-        pfd.revents = 0;
-        int timeoutMs = -1;
-        if (child.hasDeadline()) {
-            auto now = std::chrono::steady_clock::now();
-            if (child.pastDeadline(now)) {
-                child.killTimedOut();
-                break;
-            }
-            auto left =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    child.deadline() - now);
-            timeoutMs = static_cast<int>(left.count()) + 1;
-        }
-        const int rc = ::poll(&pfd, 1, timeoutMs);
-        if (rc < 0) {
-            if (errno == EINTR)
-                continue;
-            throw StatusError(Status(StatusCode::Internal,
-                                     std::string("chaos poll failed: ") +
-                                         std::strerror(errno)));
-        }
-        if (rc > 0)
-            child.onReadable();
-    }
-    return child.finish();
-}
 
 /** Pids currently in process group `pgid` (scanned from /proc). */
 std::vector<pid_t>
@@ -869,14 +826,13 @@ runChaos(const ChaosOptions &opts)
     // its environment matches the faulted runs exactly.
     const std::string baselineDir = opts.workdir + "/baseline";
     fs::create_directories(baselineDir);
-    pid_t baselinePid = -1;
-    const subprocess::Outcome baselineOutcome = superviseChild(
+    const subprocess::Outcome baselineOutcome = subprocess::runIsolated(
         [&] {
             return childPayload(std::nullopt, opts, baselineDir,
                                 /*resumeOnly=*/false);
         },
-        limits, &baselinePid);
-    scanForLeaks(baselinePid);
+        limits);
+    scanForLeaks(baselineOutcome.pid);
     const std::optional<ChildPayload> baseline =
         baselineOutcome.ok() ? parsePayload(baselineOutcome.output)
                              : std::nullopt;
@@ -923,13 +879,12 @@ runChaos(const ChaosOptions &opts)
         fs::remove_all(dir);
         fs::create_directories(dir);
 
-        pid_t faultedPid = -1;
-        const subprocess::Outcome faulted = superviseChild(
+        const subprocess::Outcome faulted = subprocess::runIsolated(
             [&] {
                 return childPayload(plan, opts, dir,
                                     /*resumeOnly=*/false);
             },
-            limits, &faultedPid);
+            limits);
         res.childOutcome = faulted.describe();
         const std::optional<ChildPayload> payload =
             faulted.kind == subprocess::ExitKind::Exited &&
@@ -985,12 +940,12 @@ runChaos(const ChaosOptions &opts)
 
         // Invariant: no process leaked.  The child led its own
         // process group; after the reap the group must be empty.
-        const std::vector<pid_t> leaked = scanForLeaks(faultedPid);
+        const std::vector<pid_t> leaked = scanForLeaks(faulted.pid);
         if (!leaked.empty()) {
             res.problems.push_back(
                 std::to_string(leaked.size()) +
                 " process(es) leaked in group " +
-                std::to_string(faultedPid));
+                std::to_string(faulted.pid));
         }
 
         // Invariant: whatever the fault left on disk, recovery
@@ -1016,14 +971,13 @@ runChaos(const ChaosOptions &opts)
         const std::string &reference = faultedCompleted
                                            ? payload->content
                                            : baseline->content;
-        pid_t resumePid = -1;
-        const subprocess::Outcome resumed = superviseChild(
+        const subprocess::Outcome resumed = subprocess::runIsolated(
             [&] {
                 return childPayload(std::nullopt, opts, dir,
                                     /*resumeOnly=*/true);
             },
-            limits, &resumePid);
-        scanForLeaks(resumePid);
+            limits);
+        scanForLeaks(resumed.pid);
         const std::optional<ChildPayload> resumePayload =
             resumed.ok() ? parsePayload(resumed.output) : std::nullopt;
         if (!resumePayload || !resumePayload->error.empty() ||

@@ -1,11 +1,10 @@
 #include "exec/engine_config.hh"
 
-#include <charconv>
 #include <chrono>
 #include <cstdint>
-#include <limits>
 
 #include "base/status.hh"
+#include "base/strutil.hh"
 
 namespace lkmm
 {
@@ -71,45 +70,25 @@ bool
 EngineConfig::parseFlag(const std::string &arg,
                         const std::function<std::string()> &next)
 {
-    // Plain decimal digits whose value fits: no sign, exponent or
-    // suffix.
-    const auto toCount = [&arg](const std::string &s, std::size_t max) {
-        std::size_t v = 0;
-        const char *end = s.data() + s.size();
-        const auto [ptr, ec] = std::from_chars(s.data(), end, v);
-        if (ec != std::errc() || ptr != end || v > max) {
-            throw StatusError(Status(
-                StatusCode::InvalidArgument,
-                "bad value '" + s + "' for " + arg +
-                    " (expected decimal digits, at most " +
-                    std::to_string(max) + ")"));
-        }
-        return v;
-    };
-    constexpr std::size_t kAnyCount = std::numeric_limits<std::size_t>::max();
     if (arg == "--engine") {
         setMode(next());
         return true;
     }
     if (arg == "--engine-time-limit-ms") {
-        using std::chrono::milliseconds;
-        const auto max_ms = std::chrono::duration_cast<milliseconds>(
-                                std::chrono::nanoseconds::max())
-                                .count();
-        budget.wallClock = milliseconds(static_cast<std::int64_t>(
-            toCount(next(), static_cast<std::size_t>(max_ms))));
+        budget.wallClock =
+            parseDuration<std::chrono::milliseconds>(arg, next());
         return true;
     }
     if (arg == "--engine-max-candidates") {
-        budget.maxCandidates = toCount(next(), kAnyCount);
+        budget.maxCandidates = parseCount(arg, next());
         return true;
     }
     if (arg == "--engine-max-rf") {
-        budget.maxRfAssignments = toCount(next(), kAnyCount);
+        budget.maxRfAssignments = parseCount(arg, next());
         return true;
     }
     if (arg == "--engine-max-eval-steps") {
-        budget.maxEvalSteps = toCount(next(), kAnyCount);
+        budget.maxEvalSteps = parseCount(arg, next());
         return true;
     }
     return false;

@@ -11,11 +11,15 @@
  * reimplementing:
  *
  *  - a canonical JSON form (toJson/fromJson/canonicalKey).  The
- *    serve verdict cache keys on it, the serve worker wire protocol
- *    carries it, and because json::Object is a sorted map the
- *    serialization is deterministic: equal configs, equal keys.
- *    Only the value knobs are serialized; the process-local budget
- *    plumbing (cancel token, shared sweep tracker) never travels.
+ *    serve verdict cache keys on it, and because json::Object is a
+ *    sorted map the serialization is deterministic: equal configs,
+ *    equal keys.  Only the value knobs are serialized; the
+ *    process-local budget plumbing (cancel token, shared sweep
+ *    tracker) never travels.  The serve worker frame does not carry
+ *    this form: it sends the mode name and the budget fields with
+ *    the wall clock in nanoseconds, because wall_clock_ms would
+ *    round a sub-millisecond remaining deadline to 0, which means
+ *    unlimited.
  *
  *  - one flag vocabulary (parseFlag/flagHelp).  All four CLIs
  *    accept the same --engine-family flags:
@@ -27,7 +31,9 @@
  *        --engine-max-eval-steps N
  *
  *    lkmm-sweep's historic --time-limit-ms, --max-candidates and
- *    --max-rf remain as aliases that parse through the same flags.
+ *    --max-rf, lkmm-serve's --time-limit-ms and lkmm-fuzz's
+ *    --max-candidates remain as aliases that parse through the same
+ *    flags.
  */
 
 #ifndef LKMM_EXEC_ENGINE_CONFIG_HH

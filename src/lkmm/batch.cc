@@ -1,12 +1,9 @@
 #include "lkmm/batch.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <functional>
 #include <mutex>
 #include <thread>
-
-#include <poll.h>
 
 #include "base/faultinject.hh"
 #include "base/rng.hh"
@@ -456,7 +453,7 @@ BatchRunner::runForked(std::vector<Item *> &pending,
             // tests rerun on resume.  The journal already has every
             // finished test.
             for (Live &l : live) {
-                l.child.killTimedOut();
+                l.child.kill();
                 l.child.finish();
             }
             live.clear();
@@ -481,9 +478,9 @@ BatchRunner::runForked(std::vector<Item *> &pending,
                 payload["records"] = json::Value(std::move(records));
                 return json::Value(std::move(payload)).serialize();
             };
-            // fork/pipe failures under load (EAGAIN, EMFILE) are the
-            // canonical transient fault: retry with backoff, and only
-            // record a failure once the policy gives up.
+            // fork/socketpair failures under load (EAGAIN, EMFILE)
+            // are the canonical transient fault: retry with backoff,
+            // and only record a failure once the policy gives up.
             std::optional<subprocess::Child> spawned;
             int spawnRetries = 0;
             std::optional<Status> failed =
@@ -501,63 +498,24 @@ BatchRunner::runForked(std::vector<Item *> &pending,
             }
             live.push_back({std::move(*spawned), item});
         }
-        if (live.empty()) {
-            // Every remaining item failed to spawn and was recorded
-            // as a failure.  Polling zero fds with no deadline would
-            // block forever; re-check the loop condition instead
-            // (found by lkmm-chaos: subprocess-pipe:1:error on a
-            // one-test sweep).
-            continue;
-        }
 
-        // Wait for output or the nearest deadline.
-        std::vector<struct pollfd> fds;
-        fds.reserve(live.size());
-        int timeoutMs = -1;
-        const auto now = std::chrono::steady_clock::now();
-        for (Live &l : live) {
-            fds.push_back({l.child.fd(), POLLIN, 0});
-            if (l.child.hasDeadline()) {
-                auto left =
-                    std::chrono::duration_cast<std::chrono::milliseconds>(
-                        l.child.deadline() - now)
-                        .count();
-                int ms = left <= 0 ? 0 : static_cast<int>(left) + 1;
-                timeoutMs = timeoutMs < 0 ? ms : std::min(timeoutMs, ms);
-            }
-        }
-        // EINTR is handled here, not in retryEintr: the wake-up is
-        // how a signal-handler-set cancel token gets noticed.
-        int rc;
-        if (int injected = faultinject::checkSiteErrno(
-                faultinject::site::kSubprocessPoll, EIO)) {
-            errno = injected;
-            rc = -1;
-        } else {
-            rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                        timeoutMs);
-        }
-        if (rc < 0) {
-            if (errno == EINTR)
-                continue; // e.g. SIGINT: re-check the cancel token
-            throw StatusError(Status(StatusCode::Internal,
-                                     "poll failed in forked sweep"));
-        }
+        // Wait for output or the nearest deadline.  With every
+        // remaining item failed to spawn the set is empty and this
+        // returns at once; after an EINTR (e.g. SIGINT) it returns
+        // nothing and the loop re-checks the cancel token.
+        std::vector<subprocess::Child *> children;
+        children.reserve(live.size());
+        for (Live &l : live)
+            children.push_back(&l.child);
+        const std::vector<std::size_t> done = subprocess::waitAny(children);
 
-        // Reap children that finished or overran their deadline.
-        const auto after = std::chrono::steady_clock::now();
         std::vector<Live> still;
         still.reserve(live.size());
+        std::size_t d = 0;
         for (std::size_t i = 0; i < live.size(); ++i) {
             Live &l = live[i];
-            bool done = false;
-            if (fds[i].revents & (POLLIN | POLLHUP | POLLERR))
-                done = l.child.onReadable();
-            if (!done && l.child.pastDeadline(after)) {
-                l.child.killTimedOut();
-                done = true;
-            }
-            if (done) {
+            if (d < done.size() && done[d] == i) {
+                ++d;
                 subprocess::Outcome out = l.child.finish();
                 ItemOutcome decoded =
                     decodeChildOutcome(l.item->name, out);

@@ -17,6 +17,7 @@
 #include "base/strutil.hh"
 #include "litmus/parser.hh"
 #include "lkmm/runner.hh"
+#include "model/registry.hh"
 
 namespace lkmm::serve
 {
@@ -96,64 +97,11 @@ okValue(bool cached, json::Value result)
 } // namespace
 
 /* ------------------------------------------------------------------ */
-/* ModelPool                                                          */
-/* ------------------------------------------------------------------ */
-
-void
-Server::ModelPool::prewarm(const std::string &spec)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (factories_.find(spec) == factories_.end()) {
-        factories_.emplace(spec,
-                           ModelRegistry::instance().factoryFor(spec));
-    }
-}
-
-std::unique_ptr<Model>
-Server::ModelPool::acquire(const std::string &spec)
-{
-    ModelFactory factory;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto fit = factories_.find(spec);
-        if (fit == factories_.end()) {
-            fit = factories_
-                      .emplace(spec, ModelRegistry::instance()
-                                         .factoryFor(spec))
-                      .first;
-        }
-        auto &freeList = free_[spec];
-        if (!freeList.empty()) {
-            std::unique_ptr<Model> model =
-                std::move(freeList.back());
-            freeList.pop_back();
-            return model;
-        }
-        factory = fit->second;
-    }
-    // Model construction (cat files re-parse per instance) happens
-    // outside the lock so one slow spec can't serialize the pool.
-    return factory();
-}
-
-void
-Server::ModelPool::release(const std::string &spec,
-                           std::unique_ptr<Model> model)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto &freeList = free_[spec];
-    if (freeList.size() < capacity_)
-        freeList.push_back(std::move(model));
-}
-
-/* ------------------------------------------------------------------ */
 /* Server lifecycle                                                   */
 /* ------------------------------------------------------------------ */
 
 Server::Server(ServeOptions opts)
-    : opts_(std::move(opts)),
-      models_(opts_.workers == 0 ? ThreadPool::hardwareThreads()
-                                 : opts_.workers)
+    : opts_(std::move(opts)), quarantine_(0, opts_.quarantineCrashes)
 {
     if (opts_.socketPath.empty()) {
         throw StatusError(Status(StatusCode::InvalidArgument,
@@ -171,29 +119,23 @@ Server::Server(ServeOptions opts)
 
     // Fail configuration errors here, before the daemon is ready:
     // the default model spec, the cache journal, then the socket.
-    models_.prewarm(opts_.model);
+    validateSpec(opts_.model);
     cache_.emplace(opts_.cache);
-    if (!opts_.serverBudget.isUnlimited())
-        serverTracker_.emplace(opts_.serverBudget);
-    if (opts_.isolation == ServeIsolation::Workers) {
-        // The crash-only tier: one isolated worker process per
-        // dispatch thread, a count-based poison-pill quarantine in
-        // front of them.  Spawn failures don't throw — the pool
-        // starts degraded and its supervisor heals it with backoff.
-        // Constructed before the ThreadPool so the initial forks
-        // happen while this process is still single-threaded.
-        quarantine_.emplace(0, opts_.quarantineCrashes);
-        WorkerOptions wo;
-        wo.count = opts_.workers == 0 ? ThreadPool::hardwareThreads()
-                                      : opts_.workers;
-        wo.recycleRequests = opts_.workerRecycleRequests;
-        wo.rssLimitMb = opts_.workerRssLimitMb;
-        wo.defaultDeadline = opts_.workerDeadline;
-        wo.respawn = opts_.workerRespawn;
-        workerPool_.emplace(wo);
-    }
-    pool_.emplace(opts_.workers == 0 ? ThreadPool::hardwareThreads()
-                                     : opts_.workers);
+    // One isolated worker process per dispatch thread, with the
+    // count-based poison-pill quarantine in front of them.  Spawn
+    // failures don't throw — the pool starts degraded and its
+    // supervisor heals it with backoff.  Constructed before the
+    // ThreadPool so the initial forks happen while this process is
+    // still single-threaded.
+    WorkerOptions wo;
+    wo.count = opts_.workers == 0 ? ThreadPool::hardwareThreads()
+                                  : opts_.workers;
+    wo.recycleRequests = opts_.workerRecycleRequests;
+    wo.rssLimitMb = opts_.workerRssLimitMb;
+    wo.defaultDeadline = opts_.workerDeadline;
+    wo.respawn = opts_.workerRespawn;
+    workerPool_.emplace(wo);
+    pool_.emplace(wo.count);
 
     listenFd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (listenFd_ < 0) {
@@ -261,10 +203,7 @@ Server::stop()
     pool_.reset();
     // Dispatch threads are drained; now retire the worker processes
     // (graceful EOF first, SIGKILL stragglers — none may outlive us).
-    if (workerPool_) {
-        workerPool_->shutdown();
-        workerPool_.reset();
-    }
+    workerPool_.reset();
     if (cache_) {
         cache_->flush();
         cache_->close();
@@ -414,20 +353,17 @@ Server::handleFrame(const std::string &payload)
     if (op == "verify")
         return handleVerify(request);
     if (op == "ping") {
-        // The liveness probe doubles as the health surface: which
-        // execution tier, per-worker state, restart and quarantine
-        // counts — everything a supervisor needs to decide whether
-        // "alive" also means "healthy".
+        // The liveness probe doubles as the health surface:
+        // per-worker state, restart and quarantine counts —
+        // everything a supervisor needs to decide whether "alive"
+        // also means "healthy".  "isolation" names the only tier,
+        // for probes written when there were two.
         json::Object o;
         o["status"] = "ok";
         o["pong"] = true;
-        o["isolation"] =
-            workerPool_ ? "workers" : "inproc";
-        if (workerPool_) {
-            o["workers"] = workerPool_->healthJson();
-            o["quarantine_size"] =
-                quarantine_ ? quarantine_->size() : std::size_t{0};
-        }
+        o["isolation"] = "workers";
+        o["workers"] = workerPool_->healthJson();
+        o["quarantine_size"] = quarantine_.size();
         return o;
     }
     if (op == "stats") {
@@ -471,7 +407,7 @@ Server::handleVerify(const json::Value &request)
     Program prog;
     try {
         prog = parseLitmus(litmus->asString());
-        models_.prewarm(spec); // reject unknown model specs up front
+        validateSpec(spec); // reject unknown model specs up front
     } catch (const std::exception &e) {
         std::lock_guard<std::mutex> lock(statsMutex_);
         ++stats_.errors;
@@ -496,13 +432,13 @@ Server::handleVerify(const json::Value &request)
     // Poison-pill quarantine: a fingerprint that has already crashed
     // enough workers is refused up front — fast, with the recorded
     // reason, and without burning another worker on it.
-    if (quarantine_ && quarantine_->quarantined(key)) {
+    if (quarantine_.quarantined(key)) {
         {
             std::lock_guard<std::mutex> lock(statsMutex_);
             ++stats_.quarantineRefusals;
         }
         return shedValue("quarantined", /*retryable=*/false, 0,
-                         quarantine_->lastSignature(key));
+                         quarantine_.lastSignature(key));
     }
 
     // Admission control: bound the queued-or-running verification
@@ -549,44 +485,10 @@ Server::handleVerify(const json::Value &request)
                     }
                     response =
                         shedValue("deadline", /*retryable=*/true, 100);
-                } else if (workerPool_) {
+                } else {
                     response = dispatchToWorker(
                         prog, spec, key, source, nocache, hasDeadline,
                         deadlineAt);
-                } else {
-                    std::unique_ptr<Model> model =
-                        models_.acquire(spec);
-                    RunBudget budget = opts_.engine.budget;
-                    if (hasDeadline) {
-                        // Clamp to >= 1ns: a deadline that expired
-                        // this instant must trip the budget, and a
-                        // zero wallClock would mean "unlimited".
-                        const std::chrono::nanoseconds remaining =
-                            std::max<std::chrono::nanoseconds>(
-                                deadlineAt -
-                                    std::chrono::steady_clock::now(),
-                                std::chrono::nanoseconds(1));
-                        if (budget.wallClock.count() == 0 ||
-                            remaining < budget.wallClock) {
-                            budget.wallClock = remaining;
-                        }
-                    }
-                    if (serverTracker_)
-                        budget.shared = &*serverTracker_;
-                    const RunResult run = runTest(
-                        prog, *model, budget,
-                        opts_.engine.enumerate);
-                    models_.release(spec, std::move(model));
-                    json::Value result =
-                        resultValue(prog.name, spec, run);
-                    // Only complete runs are cached: an Unknown from
-                    // a truncated run describes this run's budget,
-                    // not the test, and must never be replayed.
-                    if (!nocache && cache_ &&
-                        run.completeness == Completeness::Complete) {
-                        cache_->insert(key, result);
-                    }
-                    response = okValue(false, std::move(result));
                 }
             } catch (const std::exception &e) {
                 {
@@ -609,6 +511,21 @@ Server::handleVerify(const json::Value &request)
     return future.get();
 }
 
+void
+Server::validateSpec(const std::string &spec)
+{
+    {
+        std::lock_guard<std::mutex> lock(specsMutex_);
+        if (validatedSpecs_.count(spec))
+            return;
+    }
+    // Outside the lock: a cat file parses here, and one slow spec
+    // must not stall requests naming specs already validated.
+    ModelRegistry::instance().factoryFor(spec);
+    std::lock_guard<std::mutex> lock(specsMutex_);
+    validatedSpecs_.insert(spec);
+}
+
 json::Value
 Server::dispatchToWorker(
     const Program &prog, const std::string &spec,
@@ -623,8 +540,9 @@ Server::dispatchToWorker(
     wreq.deadlineAt = deadlineAt;
     RunBudget budget = opts_.engine.budget;
     if (hasDeadline) {
-        // Same >= 1ns clamp as the in-process tier: an expired
-        // deadline must trip the budget, not mean "unlimited".
+        // Clamp to >= 1ns: a deadline that expired this instant
+        // must trip the budget, and a zero wallClock would mean
+        // "unlimited".
         const std::chrono::nanoseconds remaining =
             std::max<std::chrono::nanoseconds>(
                 deadlineAt - std::chrono::steady_clock::now(),
@@ -635,8 +553,7 @@ Server::dispatchToWorker(
         }
     }
     // Pointers cannot cross the fork boundary: the worker runs under
-    // the numeric fields only (the server-wide shared tracker is an
-    // in-process-tier feature).
+    // the numeric fields only.
     budget.cancel = nullptr;
     budget.shared = nullptr;
     wreq.budget = budget;
@@ -647,8 +564,9 @@ Server::dispatchToWorker(
       case WorkerOutcome::Kind::Ok: {
         json::Value result = out.result;
         // The parent owns the cache (PR-7 journal semantics are
-        // untouched by the fork boundary); same complete-runs-only
-        // rule as the in-process tier.
+        // untouched by the fork boundary).  Only complete runs are
+        // cached: an Unknown from a truncated run describes this
+        // run's budget, not the test, and must never be replayed.
         if (!nocache && cache_ &&
             result.getString("completeness", "") ==
                 completenessName(Completeness::Complete)) {
@@ -674,12 +592,9 @@ Server::dispatchToWorker(
             else
                 ++stats_.workerCrashes;
         }
-        if (quarantine_) {
-            quarantine_->record(
-                key, retry::failureSignature(
-                         "worker",
-                         Status(StatusCode::Internal, out.detail)));
-        }
+        quarantine_.record(
+            key, retry::failureSignature(
+                     "worker", Status(StatusCode::Internal, out.detail)));
         return crashValue(timedOut ? "worker-timeout"
                                    : "worker-crash",
                           out.detail, /*retryable=*/true, 100);
@@ -715,11 +630,8 @@ Server::statsObject() const
         o["quarantine_refusals"] = stats_.quarantineRefusals;
     }
     o["pending"] = pending_.load(std::memory_order_relaxed);
-    if (workerPool_) {
-        o["workers"] = workerPool_->healthJson();
-        o["quarantine_size"] =
-            quarantine_ ? quarantine_->size() : std::size_t{0};
-    }
+    o["workers"] = workerPool_->healthJson();
+    o["quarantine_size"] = quarantine_.size();
     if (cache_) {
         const CacheStats cs = cache_->stats();
         json::Object c;

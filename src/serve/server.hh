@@ -6,16 +6,16 @@
  *
  * Requests are length-prefixed JSON frames (serve/protocol.hh); the
  * default operation submits a litmus source plus a model spec and
- * gets back the verdict the PR-4 in-process parallel engine
- * computes, or a cache hit byte-identical to it.
+ * gets back the verdict a worker computes, or a cache hit
+ * byte-identical to it.
  *
  * The robustness contract, in priority order:
  *
  *  1. Soundness above all.  The daemon never invents a verdict:
  *     every Allow/Forbid it returns came from a complete run (or a
  *     journal replay of one), and every degradation — queue full,
- *     deadline passed, shared budget exhausted, truncated run —
- *     reports Verdict::Unknown with the reason, exactly as the
+ *     deadline passed, worker died, truncated run — reports
+ *     Verdict::Unknown with the reason, exactly as the
  *     budget machinery does everywhere else in the tree.
  *  2. One client cannot hurt another.  Admission control bounds the
  *     verification queue (excess load is shed, not buffered);
@@ -32,12 +32,10 @@
  * Threading: one accept thread, one thread per live connection
  * (parsing, cache lookups, and framing happen there — cache hits
  * never touch the verification queue), and a fixed ThreadPool of
- * dispatch threads.  In the default crash-only configuration each
- * dispatch thread hands the request to a process-isolated worker
- * from serve/worker.hh — a forked engine whose segv/abort/OOM/hang
- * costs exactly one response (a sound Unknown{worker-crash} or
- * {worker-timeout}), never the daemon; ServeIsolation::InProcess
- * keeps the PR-4 in-thread engine for comparison and benchmarks.
+ * dispatch threads.  Each dispatch thread hands the request to a
+ * process-isolated worker from serve/worker.hh — a forked engine
+ * whose segv/abort/OOM/hang costs exactly one response (a sound
+ * Unknown{worker-crash} or {worker-timeout}), never the daemon.
  * Shed, crash, and error responses carry machine-readable
  * `retryable` + `retry_after_ms` fields so bounded-retry clients
  * need not guess.
@@ -50,10 +48,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -61,7 +59,6 @@
 #include "base/budget.hh"
 #include "base/retry.hh"
 #include "base/scheduler.hh"
-#include "model/registry.hh"
 #include "serve/cache.hh"
 #include "serve/protocol.hh"
 #include "serve/worker.hh"
@@ -69,22 +66,16 @@
 namespace lkmm::serve
 {
 
-/** Where verification runs. */
-enum class ServeIsolation
-{
-    /** PR-4 engine on the dispatch thread (shared address space). */
-    InProcess,
-    /** Crash-only default: process-isolated worker pool. */
-    Workers,
-};
-
 struct ServeOptions
 {
     /** Unix socket to bind (stale files are replaced). */
     std::string socketPath;
     /** Default model spec for requests that don't name one. */
     std::string model = "lkmm";
-    /** Verification worker threads (0 = hardware concurrency). */
+    /**
+     * Worker processes, and dispatch threads feeding them
+     * (0 = hardware concurrency).
+     */
     std::size_t workers = 0;
     /**
      * Admission bound: requests queued-or-running on the worker
@@ -108,25 +99,16 @@ struct ServeOptions
      * constant and is part of every cache key.
      */
     EngineConfig engine;
-    /**
-     * Caps for the server-wide shared tracker (all-zero = none).
-     * Counted across every request served by this process.  Only
-     * enforced on the in-process tier: a tracker cannot span the
-     * fork boundary (worker runs are bounded per-request instead).
-     */
-    RunBudget serverBudget;
-    /** Execution tier (crash-only worker pool by default). */
-    ServeIsolation isolation = ServeIsolation::Workers;
-    /** Worker tier: retire a worker after N requests (0 = never). */
+    /** Retire a worker after N requests (0 = never). */
     std::uint64_t workerRecycleRequests = 0;
-    /** Worker tier: retire a worker past this RSS (0 = never). */
+    /** Retire a worker past this RSS (0 = never). */
     std::size_t workerRssLimitMb = 0;
     /**
-     * Worker tier: watchdog for requests that carry no deadline
-     * (0 = wait indefinitely, like the in-process tier).
+     * Watchdog for requests that carry no deadline (0 = wait
+     * indefinitely).
      */
     std::chrono::milliseconds workerDeadline{0};
-    /** Worker tier: crash-loop respawn backoff. */
+    /** Crash-loop respawn backoff. */
     retry::RetryPolicy workerRespawn =
         WorkerOptions::defaultRespawnPolicy();
     /**
@@ -147,11 +129,11 @@ struct ServerStats
     std::uint64_t shedDeadline = 0;
     std::uint64_t errors = 0;
     std::uint64_t disconnects = 0;
-    /** Worker tier: requests whose worker died mid-run. */
+    /** Requests whose worker died mid-run. */
     std::uint64_t workerCrashes = 0;
-    /** Worker tier: requests whose worker hit the watchdog. */
+    /** Requests whose worker hit the watchdog. */
     std::uint64_t workerTimeouts = 0;
-    /** Worker tier: sheds because no worker arrived in time. */
+    /** Sheds because no worker arrived in time. */
     std::uint64_t shedWorkerUnavailable = 0;
     /** Requests refused up front by the poison-pill quarantine. */
     std::uint64_t quarantineRefusals = 0;
@@ -194,7 +176,7 @@ class Server
     const std::string &socketPath() const { return opts_.socketPath; }
     ServerStats stats() const;
     CacheStats cacheStats() const;
-    /** Null in ServeIsolation::InProcess mode. */
+    /** Null once stop() has retired the workers. */
     const WorkerPool *workerPool() const
     {
         return workerPool_ ? &*workerPool_ : nullptr;
@@ -208,29 +190,6 @@ class Server
         std::atomic<bool> done{false};
     };
 
-    /** Per-worker Model instances, one free-list per model spec. */
-    class ModelPool
-    {
-      public:
-        explicit ModelPool(std::size_t capacityPerSpec)
-            : capacity_(capacityPerSpec)
-        {}
-
-        /** May throw for unknown/invalid specs (registry rules). */
-        std::unique_ptr<Model> acquire(const std::string &spec);
-        void release(const std::string &spec,
-                     std::unique_ptr<Model> model);
-        /** Eagerly validate a spec (ctor-time check). */
-        void prewarm(const std::string &spec);
-
-      private:
-        std::mutex mutex_;
-        std::size_t capacity_;
-        std::map<std::string, ModelFactory> factories_;
-        std::map<std::string, std::vector<std::unique_ptr<Model>>>
-            free_;
-    };
-
     void acceptLoop();
     void serveConnection(int fd);
     void reapConnections(bool all);
@@ -239,7 +198,13 @@ class Server
     json::Value handleFrame(const std::string &payload);
     json::Value handleVerify(const json::Value &request);
     /**
-     * Worker-tier execution of one admitted request: dispatch to the
+     * Throw for an unknown or invalid model spec (registry rules).
+     * A spec is validated once: a cat file is not re-parsed per
+     * request.
+     */
+    void validateSpec(const std::string &spec);
+    /**
+     * Execution of one admitted request: dispatch to the worker
      * pool, decode the outcome (crash/timeout → sound Unknown, the
      * quarantine ledger updated), cache complete results.
      */
@@ -255,9 +220,10 @@ class Server
     std::optional<VerdictCache> cache_;
     std::optional<ThreadPool> pool_;
     std::optional<WorkerPool> workerPool_;
-    std::optional<retry::Quarantine> quarantine_;
-    std::optional<BudgetTracker> serverTracker_;
-    ModelPool models_;
+    retry::Quarantine quarantine_;
+
+    std::mutex specsMutex_;
+    std::set<std::string> validatedSpecs_;
 
     std::thread acceptThread_;
     std::atomic<bool> started_{false};

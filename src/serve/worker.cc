@@ -3,8 +3,6 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -14,8 +12,6 @@
 #include "base/eintr.hh"
 #include "base/faultinject.hh"
 #include "base/rng.hh"
-#include "base/strutil.hh"
-#include "base/subprocess.hh"
 #include "litmus/parser.hh"
 #include "model/registry.hh"
 #include "serve/protocol.hh"
@@ -25,6 +21,13 @@ namespace lkmm::serve
 
 namespace site = faultinject::site;
 
+namespace
+{
+
+/**
+ * The canonical "result" object a worker computes; the cache
+ * replays it byte-identically.
+ */
 json::Value
 resultValue(const std::string &testName, const std::string &modelSpec,
             const RunResult &r)
@@ -42,9 +45,6 @@ resultValue(const std::string &testName, const std::string &modelSpec,
         r.allowedFinalStates.begin(), r.allowedFinalStates.end()));
     return result;
 }
-
-namespace
-{
 
 StatusCode
 statusCodeFromName(const std::string &name)
@@ -123,12 +123,12 @@ runOne(const std::string &frame,
 }
 
 /**
- * The persistent worker main loop.  EOF on the channel is the
+ * The persistent worker body (run by subprocess::Child::spawn, which
+ * _exits with its return value).  EOF on the channel is the
  * drain-aware retirement signal: the parent closed its end (recycle,
- * shutdown, or parent death), so finish and leave with _exit — never
- * return into a forked copy of the daemon's stack.
+ * shutdown, or parent death), so finish and leave.
  */
-[[noreturn]] void
+int
 workerMain(int fd)
 {
     // The daemon installs its own SIGTERM/SIGINT handlers; a worker
@@ -153,10 +153,10 @@ workerMain(int fd)
         try {
             frame = readFrame(fd, kWorkerMaxFrameBytes);
         } catch (...) {
-            ::_exit(0); // torn channel: parent is gone or recycling
+            return 0; // torn channel: parent is gone or recycling
         }
         if (!frame)
-            ::_exit(0);
+            return 0;
         const std::string reply = runOne(*frame, models);
         try {
             // serve-worker-result is the worker-side fault site: an
@@ -166,30 +166,9 @@ workerMain(int fd)
             // decode as a worker death, never as a daemon failure.
             writeFrame(fd, reply, site::kServeWorkerResult);
         } catch (...) {
-            ::_exit(subprocess::Child::kCallbackError);
+            return subprocess::Child::kCallbackError;
         }
     }
-}
-
-/** Blocking waitpid with the EINTR loop; decodes the exit shape. */
-subprocess::Outcome
-reapWorker(pid_t pid, bool timedOut)
-{
-    int status = 0;
-    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-    }
-    subprocess::Outcome outcome;
-    if (timedOut) {
-        outcome.kind = subprocess::ExitKind::TimedOut;
-    } else if (WIFSIGNALED(status)) {
-        outcome.kind = subprocess::ExitKind::Signaled;
-        outcome.signal = WTERMSIG(status);
-    } else {
-        outcome.kind = subprocess::ExitKind::Exited;
-        outcome.exitCode =
-            WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-    }
-    return outcome;
 }
 
 void
@@ -231,40 +210,27 @@ WorkerPool::WorkerPool(WorkerOptions opts) : opts_(std::move(opts))
 
 WorkerPool::~WorkerPool()
 {
-    shutdown();
+    std::vector<std::unique_ptr<Worker>> doomed;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        stopping_ = true;
+        doomed.swap(workers_);
+    }
+    idleCv_.notify_all();
+    supervisorCv_.notify_all();
+    if (supervisor_.joinable())
+        supervisor_.join();
+    for (const auto &w : doomed)
+        w->child.retire(opts_.shutdownGrace);
 }
 
 std::unique_ptr<WorkerPool::Worker>
 WorkerPool::spawnOne()
 {
     faultinject::checkSite(site::kServeWorkerSpawn, "worker spawn");
-    int sv[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) !=
-        0) {
-        throw StatusError(Status(
-            StatusCode::Internal,
-            format("serve worker socketpair failed: %s",
-                   std::strerror(errno))));
-    }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-        const int err = errno;
-        ::close(sv[0]);
-        ::close(sv[1]);
-        throw StatusError(Status(
-            StatusCode::Internal,
-            format("serve worker fork failed: %s",
-                   std::strerror(err))));
-    }
-    if (pid == 0) {
-        ::close(sv[0]);
-        workerMain(sv[1]); // never returns
-    }
-    ::close(sv[1]);
-    auto worker = std::make_unique<Worker>();
-    worker->pid = pid;
-    worker->fd = sv[0];
-    return worker;
+    // Default Limits: no rlimits, no watchdog of its own (execute()
+    // times each request), and the daemon's process group.
+    return std::make_unique<Worker>(subprocess::Child::spawn(workerMain));
 }
 
 WorkerPool::Worker *
@@ -277,7 +243,7 @@ WorkerPool::acquire(
         if (stopping_)
             return nullptr;
         for (const auto &w : workers_) {
-            if (!w->busy && w->fd >= 0) {
+            if (!w->busy && w->child.fd() >= 0) {
                 w->busy = true;
                 return w.get();
             }
@@ -290,6 +256,19 @@ WorkerPool::acquire(
             idleCv_.wait(lock);
         }
     }
+}
+
+std::unique_ptr<WorkerPool::Worker>
+WorkerPool::take(Worker *w)
+{
+    for (auto it = workers_.begin(); it != workers_.end(); ++it) {
+        if (it->get() == w) {
+            std::unique_ptr<Worker> owned = std::move(*it);
+            workers_.erase(it);
+            return owned;
+        }
+    }
+    return nullptr;
 }
 
 void
@@ -351,7 +330,7 @@ WorkerPool::execute(const WorkerRequest &req)
     bool timedOut = false;
     std::optional<std::string> frame;
     try {
-        writeFrame(w->fd, payload, site::kServeWorkerDispatch);
+        writeFrame(w->child.fd(), payload, site::kServeWorkerDispatch);
     } catch (const std::exception &e) {
         dead = true;
         out.detail = std::string("dispatch write failed: ") + e.what();
@@ -371,7 +350,7 @@ WorkerPool::execute(const WorkerRequest &req)
                 std::min<std::int64_t>(left.count() + 1, 60000));
         }
         pollfd pfd{};
-        pfd.fd = w->fd;
+        pfd.fd = w->child.fd();
         pfd.events = POLLIN;
         const int rc =
             retryEintr(site::kServeWorkerDispatch, EIO,
@@ -395,9 +374,9 @@ WorkerPool::execute(const WorkerRequest &req)
             recvBudget = std::chrono::milliseconds(
                 std::max<std::int64_t>(left.count(), 1));
         }
-        setRecvTimeout(w->fd, recvBudget);
+        setRecvTimeout(w->child.fd(), recvBudget);
         try {
-            frame = readFrame(w->fd, kWorkerMaxFrameBytes,
+            frame = readFrame(w->child.fd(), kWorkerMaxFrameBytes,
                               site::kServeWorkerDispatch);
             if (!frame) {
                 dead = true;
@@ -446,72 +425,71 @@ WorkerPool::execute(const WorkerRequest &req)
     }
 
     if (dead || timedOut) {
-        // Worker death: SIGKILL (idempotent if already gone), reap,
-        // decode through the subprocess taxonomy, leave the deficit
-        // to the supervisor.  The response — one sound Unknown for
-        // this one client — is on its way regardless.
-        ::kill(w->pid, SIGKILL);
-        const subprocess::Outcome reaped =
-            reapWorker(w->pid, timedOut);
+        // Worker death: SIGKILL (a no-op if it is already gone),
+        // reap, decode through the subprocess taxonomy, leave the
+        // deficit to the supervisor.  The response — one sound
+        // Unknown for this one client — is on its way regardless, so
+        // a kill or reap that fails is just more of this death.
+        std::string reaped;
+        try {
+            if (timedOut)
+                w->child.killTimedOut();
+            else
+                w->child.kill();
+            reaped = w->child.finish().describe();
+        } catch (const std::exception &e) {
+            reaped = std::string("reap failed: ") + e.what();
+        }
         out.kind = timedOut ? WorkerOutcome::Kind::TimedOut
                             : WorkerOutcome::Kind::Crashed;
         if (out.detail.empty())
-            out.detail = reaped.describe();
+            out.detail = reaped;
         else
-            out.detail += " (" + reaped.describe() + ")";
+            out.detail += " (" + reaped + ")";
+        // Declared before the lock, so destroyed after it is
+        // released: a reap its destructor still owes blocks outside
+        // the pool mutex.
+        std::unique_ptr<Worker> corpse;
         std::lock_guard<std::mutex> lock(mutex_);
         if (timedOut)
             ++stats_.timeouts;
         else
             ++stats_.crashes;
         noteWorkerDeath();
-        for (auto it = workers_.begin(); it != workers_.end(); ++it) {
-            if (it->get() == w) {
-                ::close(w->fd);
-                workers_.erase(it);
-                break;
-            }
-        }
+        corpse = take(w);
         return out;
     }
 
     // Healthy worker: retire it preventively if it's past its
     // recycle horizon, otherwise hand it back to the pool.
     bool retire = false;
-    bool graceful = true;
     if (opts_.recycleRequests != 0 &&
         w->served >= opts_.recycleRequests)
         retire = true;
     if (!retire && opts_.rssLimitMb != 0 &&
-        subprocess::residentSetKb(w->pid) >
+        subprocess::residentSetKb(w->child.pid()) >
             opts_.rssLimitMb * 1024)
         retire = true;
     if (retire) {
+        std::chrono::milliseconds grace = opts_.shutdownGrace;
         try {
             faultinject::checkSite(site::kServeWorkerRecycle,
                                    req.name.c_str());
         } catch (...) {
             // Injected retirement failure: escalate to SIGKILL
             // instead of the graceful EOF — degraded, never leaked.
-            graceful = false;
+            grace = std::chrono::milliseconds(0);
         }
         std::unique_ptr<Worker> owned;
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            for (auto it = workers_.begin(); it != workers_.end();
-                 ++it) {
-                if (it->get() == w) {
-                    owned = std::move(*it);
-                    workers_.erase(it);
-                    break;
-                }
-            }
+            owned = take(w);
             ++stats_.recycles;
             ++deficit_;
             supervisorCv_.notify_one();
         }
         if (owned)
-            destroyWorker(*owned, graceful);
+            owned->child.retire(grace);
     } else {
         std::lock_guard<std::mutex> lock(mutex_);
         w->busy = false;
@@ -556,11 +534,11 @@ WorkerPool::supervisorLoop()
         }
         lock.lock();
         if (stopping_) {
-            // shutdown() won the race while we were forking: this
-            // worker must not outlive the pool.
+            // The destructor won the race while we were forking:
+            // this worker must not outlive the pool.
             if (fresh) {
                 lock.unlock();
-                destroyWorker(*fresh, /*graceful=*/true);
+                fresh->child.retire(opts_.shutdownGrace);
                 lock.lock();
             }
             break;
@@ -577,63 +555,6 @@ WorkerPool::supervisorLoop()
             ++stats_.consecutiveCrashes;
         }
     }
-}
-
-void
-WorkerPool::destroyWorker(Worker &w, bool graceful)
-{
-    if (w.fd >= 0) {
-        ::close(w.fd);
-        w.fd = -1;
-    }
-    if (w.pid <= 0)
-        return;
-    bool reaped = false;
-    if (graceful) {
-        // EOF told the worker to finish up and _exit(0); give it
-        // shutdownGrace to comply before escalating.
-        const auto deadline = std::chrono::steady_clock::now() +
-            opts_.shutdownGrace;
-        for (;;) {
-            int status = 0;
-            const pid_t rc = ::waitpid(w.pid, &status, WNOHANG);
-            if (rc == w.pid ||
-                (rc < 0 && errno != EINTR && errno != EAGAIN)) {
-                reaped = true;
-                break;
-            }
-            if (std::chrono::steady_clock::now() >= deadline)
-                break;
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(5));
-        }
-    }
-    if (!reaped) {
-        ::kill(w.pid, SIGKILL);
-        int status = 0;
-        while (::waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
-        }
-    }
-    w.pid = -1;
-}
-
-void
-WorkerPool::shutdown()
-{
-    std::vector<std::unique_ptr<Worker>> doomed;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (stopping_)
-            return;
-        stopping_ = true;
-        doomed.swap(workers_);
-    }
-    idleCv_.notify_all();
-    supervisorCv_.notify_all();
-    if (supervisor_.joinable())
-        supervisor_.join();
-    for (const auto &w : doomed)
-        destroyWorker(*w, /*graceful=*/true);
 }
 
 WorkerPoolStats
@@ -662,10 +583,10 @@ WorkerPool::healthJson() const
     json::Array perWorker;
     for (const auto &w : workers_) {
         json::Object wo;
-        wo["pid"] = static_cast<std::int64_t>(w->pid);
+        wo["pid"] = static_cast<std::int64_t>(w->child.pid());
         wo["state"] = w->busy ? "busy" : "idle";
         wo["requests"] = w->served;
-        wo["rss_kb"] = subprocess::residentSetKb(w->pid);
+        wo["rss_kb"] = subprocess::residentSetKb(w->child.pid());
         perWorker.push_back(json::Value(std::move(wo)));
     }
     o["per_worker"] = std::move(perWorker);
@@ -678,7 +599,7 @@ WorkerPool::livePids() const
     std::lock_guard<std::mutex> lock(mutex_);
     std::vector<pid_t> pids;
     for (const auto &w : workers_)
-        pids.push_back(w->pid);
+        pids.push_back(w->child.pid());
     return pids;
 }
 

@@ -11,12 +11,10 @@
  * sweep — while keeping the workers *persistent*, so the fork cost
  * is paid per worker lifetime, not per request.
  *
- * Mechanics: each worker is a forked copy of the daemon connected by
- * a SOCK_STREAM socketpair speaking the serve wire format
- * (serve/protocol.hh length-prefixed JSON frames — the result-pipe
- * idea from base/subprocess, upgraded to a bidirectional, reusable
- * channel).  The parent owns the watchdog, exactly like
- * subprocess::runIsolated: it polls the channel under the request
+ * Mechanics: each worker is a subprocess::Child — a forked copy of
+ * the daemon whose socketpair channel speaks the serve wire format
+ * (serve/protocol.hh length-prefixed JSON frames) until EOF.  The
+ * parent owns the watchdog: it polls the channel under the request
  * deadline plus a grace, and SIGKILLs a worker that overruns it.
  * Every way a worker can die maps onto the subprocess exit taxonomy
  * and from there onto a sound degraded response:
@@ -69,6 +67,7 @@
 #include "base/json.hh"
 #include "base/retry.hh"
 #include "base/status.hh"
+#include "base/subprocess.hh"
 #include "exec/engine_config.hh"
 #include "lkmm/runner.hh"
 
@@ -82,15 +81,6 @@ namespace lkmm::serve
  */
 inline constexpr std::uint32_t kWorkerMaxFrameBytes = 8u << 20;
 
-/**
- * The canonical "result" object both execution tiers produce —
- * shared so a worker-computed response is byte-identical to an
- * in-process one (and to a cache replay of either).
- */
-json::Value resultValue(const std::string &testName,
-                        const std::string &modelSpec,
-                        const RunResult &r);
-
 struct WorkerOptions
 {
     /** Worker processes to keep alive. */
@@ -101,7 +91,7 @@ struct WorkerOptions
     std::size_t rssLimitMb = 0;
     /**
      * Watchdog for requests that carry no deadline of their own
-     * (0 = wait indefinitely, matching in-process semantics).
+     * (0 = wait indefinitely).
      */
     std::chrono::milliseconds defaultDeadline{0};
     /**
@@ -202,6 +192,13 @@ class WorkerPool
      * the crash-only machinery.
      */
     explicit WorkerPool(WorkerOptions opts);
+    /**
+     * Drain-aware shutdown: close every channel (an idle worker
+     * reads EOF and exits cleanly; a busy one finishes its request
+     * first), wait shutdownGrace, SIGKILL stragglers, reap all.
+     * Callers drain in-flight dispatches first — the Server tears
+     * down its dispatch threads before this.
+     */
     ~WorkerPool();
 
     WorkerPool(const WorkerPool &) = delete;
@@ -214,15 +211,6 @@ class WorkerPool
      */
     WorkerOutcome execute(const WorkerRequest &req);
 
-    /**
-     * Drain-aware shutdown: close every channel (an idle worker
-     * reads EOF and exits cleanly; a busy one finishes its request
-     * first), wait shutdownGrace, SIGKILL stragglers, reap all.
-     * Idempotent.  Callers drain in-flight dispatches first — the
-     * Server tears down its dispatch threads before this.
-     */
-    void shutdown();
-
     WorkerPoolStats stats() const;
 
     /** Per-worker state for the --ping health surface. */
@@ -234,21 +222,22 @@ class WorkerPool
   private:
     struct Worker
     {
-        pid_t pid = -1;
-        int fd = -1;
+        explicit Worker(subprocess::Child c) : child(std::move(c)) {}
+
+        subprocess::Child child;
         std::uint64_t served = 0;
         bool busy = false;
     };
 
     /** Throws StatusError/bad_alloc on spawn failure. */
-    std::unique_ptr<Worker> spawnOne();
+    static std::unique_ptr<Worker> spawnOne();
     Worker *acquire(
         const std::optional<std::chrono::steady_clock::time_point>
             &deadline);
+    /** Remove w from the pool and hand it over.  Caller holds mutex_. */
+    std::unique_ptr<Worker> take(Worker *w);
     void noteWorkerDeath();
     void supervisorLoop();
-    /** Close, (maybe) grace-wait, SIGKILL, reap.  Lock not held. */
-    void destroyWorker(Worker &w, bool graceful);
 
     WorkerOptions opts_;
 

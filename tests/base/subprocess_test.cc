@@ -1,9 +1,9 @@
 /**
- * @file
- * The fork-per-task sandbox (base/subprocess): result-pipe payload
+ * The crash-isolation runtime (base/subprocess): one-shot payload
  * delivery, exit-status decoding for every child death shape
- * (clean exit, thrown exception, signal, watchdog timeout), and
- * rlimit enforcement.
+ * (clean exit, thrown exception, signal, watchdog timeout), rlimit
+ * enforcement, the persistent-child channel with its kill and
+ * retire paths, and the waitAny watchdog.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,9 @@
 #include <csignal>
 #include <ctime>
 #include <string>
+#include <vector>
 
+#include <signal.h>
 #include <unistd.h>
 
 #include "base/faultinject.hh"
@@ -41,7 +43,7 @@ TEST(Subprocess, DeliversPayload)
 
 TEST(Subprocess, LargePayloadCrossesPipeBuffer)
 {
-    // Well past the 64K default pipe capacity: the parent must
+    // Well past the default channel buffer capacity: the parent must
     // drain while the child is still writing or this deadlocks.
     const std::string big(1 << 20, 'x');
     Outcome out = runIsolated([&] { return big; });
@@ -186,7 +188,7 @@ TEST(Subprocess, NewProcessGroupMakesChildTheGroupLeader)
 
 TEST(Subprocess, InjectedEintrOnReadIsAbsorbed)
 {
-    // retryEintr around the parent's pipe read: one injected EINTR
+    // retryEintr around the parent's channel read: one injected EINTR
     // must be invisible to the caller.
     faultinject::FaultPlan plan;
     plan.site = faultinject::site::kSubprocessRead;
@@ -225,6 +227,116 @@ TEST(Subprocess, InjectedForkFailureSurfacesAsStatusError)
     // runner's transient-retry policy heal a flaky fork).
     const Outcome out = runIsolated([] { return std::string("ok"); });
     ASSERT_TRUE(out.ok());
+}
+
+TEST(Subprocess, InjectedKillFailureDelaysButNeverWedgesTheParent)
+{
+    // The watchdog's SIGKILL fails once; finish() must still kill
+    // the hung child instead of waiting out its 30 s sleep.
+    faultinject::FaultPlan plan;
+    plan.site = faultinject::site::kSubprocessKill;
+    plan.kind = faultinject::FaultKind::Error;
+    faultinject::setPlan(plan);
+    Limits limits;
+    limits.deadline = 200ms;
+    const auto start = std::chrono::steady_clock::now();
+    const Outcome out = runIsolated(
+        []() -> std::string {
+            struct timespec ts = {30, 0};
+            nanosleep(&ts, nullptr);
+            return "";
+        },
+        limits);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_TRUE(faultinject::planFired());
+    faultinject::reset();
+    EXPECT_EQ(out.kind, ExitKind::TimedOut);
+    EXPECT_LT(elapsed, 5s);
+}
+
+TEST(Subprocess, WaitAnyReturnsAtOnceForAnEmptySet)
+{
+    // The zero-fd poll with no deadline would block forever.
+    EXPECT_TRUE(subprocess::waitAny({}).empty());
+}
+
+TEST(Subprocess, OutcomeCarriesThePid)
+{
+    subprocess::Child child = subprocess::Child::spawn(
+        [] { return std::to_string(::getpid()); });
+    const pid_t pid = child.pid();
+    const std::vector<subprocess::Child *> one{&child};
+    while (subprocess::waitAny(one).empty()) {
+    }
+    const Outcome out = child.finish();
+    ASSERT_TRUE(out.ok()) << out.describe();
+    EXPECT_EQ(out.pid, pid);
+    EXPECT_EQ(out.output, std::to_string(pid));
+}
+
+/** A persistent body: echo each chunk back until EOF. */
+int
+echoUntilEof(int channel)
+{
+    char buf[64];
+    ssize_t n;
+    while ((n = ::read(channel, buf, sizeof(buf))) > 0) {
+        if (::write(channel, buf, static_cast<std::size_t>(n)) != n)
+            return 1;
+    }
+    return n == 0 ? 0 : 2;
+}
+
+TEST(Subprocess, ChannelIsBidirectionalAndRetireEndsTheChild)
+{
+    subprocess::Child child = subprocess::Child::spawn(echoUntilEof);
+    const pid_t pid = child.pid();
+    ASSERT_EQ(::write(child.fd(), "ping", 4), 4);
+    char buf[4] = {};
+    ASSERT_EQ(::read(child.fd(), buf, sizeof(buf)), 4);
+    EXPECT_EQ(std::string(buf, 4), "ping");
+
+    // EOF is the goodbye: the child leaves well inside the grace,
+    // and is reaped (not just signalled) by the time retire returns.
+    const auto start = std::chrono::steady_clock::now();
+    child.retire(10s);
+    EXPECT_LT(std::chrono::steady_clock::now() - start, 5s);
+    EXPECT_NE(::kill(pid, 0), 0) << "retired child " << pid
+                                 << " still exists";
+}
+
+TEST(Subprocess, RetireKillsAChildThatIgnoresEof)
+{
+    subprocess::Child child =
+        subprocess::Child::spawn([](int) -> int {
+            struct timespec ts = {30, 0};
+            nanosleep(&ts, nullptr);
+            return 0;
+        });
+    const pid_t pid = child.pid();
+    const auto start = std::chrono::steady_clock::now();
+    child.retire(200ms);
+    EXPECT_LT(std::chrono::steady_clock::now() - start, 10s);
+    EXPECT_NE(::kill(pid, 0), 0);
+}
+
+TEST(Subprocess, KillKeepsTheChildsOwnDeathShape)
+{
+    // kill() on a child that already died must not relabel it: the
+    // decoded outcome is its own signal, not our SIGKILL and not a
+    // watchdog timeout.
+    subprocess::Child child =
+        subprocess::Child::spawn([](int) -> int {
+            std::raise(SIGTERM);
+            return 0;
+        });
+    const std::vector<subprocess::Child *> one{&child};
+    while (subprocess::waitAny(one).empty()) {
+    }
+    child.kill();
+    const Outcome out = child.finish();
+    EXPECT_EQ(out.kind, ExitKind::Signaled);
+    EXPECT_EQ(out.signal, SIGTERM);
 }
 
 } // namespace

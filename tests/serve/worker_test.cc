@@ -27,6 +27,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -139,6 +140,42 @@ expectAllDead(const std::vector<pid_t> &pids)
     }
 }
 
+/**
+ * Warm hits are answered on the connection thread and never cross
+ * the fork: N hits leave the pool's dispatch count untouched.  An
+ * exact count, so unlike a timing ratio it cannot pass by noise.
+ */
+TEST(WorkerIsolation, WarmHitsNeverReachAWorker)
+{
+    ServeOptions opts;
+    opts.socketPath = socketPath("warm");
+    opts.workers = 1;
+    Server server(opts);
+    server.start();
+
+    const json::Value cold = request(opts.socketPath, verifyRequest(kMp));
+    ASSERT_EQ(cold.getString("status"), "ok") << cold.serialize();
+    ASSERT_FALSE(cold.getBool("cached", true));
+    ASSERT_NE(server.workerPool(), nullptr);
+    const std::uint64_t dispatched = server.workerPool()->stats().requests;
+    EXPECT_EQ(dispatched, 1u);
+    const std::uint64_t hitsBefore = server.stats().cacheHits;
+
+    constexpr int kHits = 20;
+    Client client = Client::connect(opts.socketPath);
+    client.setTimeout(std::chrono::milliseconds(60000));
+    for (int i = 0; i < kHits; ++i) {
+        const json::Value warm =
+            client.request(json::Value(verifyRequest(kMp)));
+        ASSERT_EQ(warm.getString("status"), "ok") << warm.serialize();
+        EXPECT_TRUE(warm.getBool("cached", false));
+    }
+    EXPECT_EQ(server.workerPool()->stats().requests, dispatched)
+        << "a warm hit was dispatched to a worker process";
+    EXPECT_EQ(server.stats().cacheHits, hitsBefore + kHits);
+    server.stop();
+}
+
 #ifndef LKMM_TSAN
 
 TEST(WorkerIsolation, SegvMidRequestIsolatedToOneClient)
@@ -246,6 +283,41 @@ TEST(WorkerIsolation, HangMidRequestBecomesWorkerTimeout)
     const json::Value after =
         request(opts.socketPath, verifyRequest(kMp, true));
     EXPECT_EQ(after.getString("status"), "ok");
+    server.stop();
+}
+
+TEST(WorkerIsolation, InjectedKillFailureStillReapsAHungWorker)
+{
+    // The worker hangs at its result write; the watchdog's SIGKILL of
+    // it fails once.  The reap must still kill it, or this dispatch
+    // thread (and the client) would wait on the hung worker forever.
+    FaultGuard guard;
+    faultinject::FaultPlan hang;
+    hang.site = faultinject::site::kServeWorkerResult;
+    hang.kind = faultinject::FaultKind::Hang;
+    faultinject::FaultPlan killFails;
+    killFails.site = faultinject::site::kSubprocessKill;
+    killFails.kind = faultinject::FaultKind::Error;
+    faultinject::setPlans({hang, killFails});
+
+    ServeOptions opts;
+    opts.socketPath = socketPath("killfault");
+    opts.workers = 1;
+    Server server(opts);
+    server.start();
+
+    json::Object req = verifyRequest(kMp, true);
+    req["deadline_ms"] = static_cast<std::int64_t>(300);
+    const auto start = std::chrono::steady_clock::now();
+    const json::Value resp =
+        request(opts.socketPath, json::Value(std::move(req)));
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(10));
+    EXPECT_EQ(resp.getString("reason"), "worker-timeout")
+        << resp.serialize();
+    EXPECT_TRUE(faultinject::planFired())
+        << "the kill fault never fired in the daemon";
+    EXPECT_EQ(server.stats().workerTimeouts, 1u);
     server.stop();
 }
 
@@ -439,22 +511,7 @@ TEST(WorkerHealth, PingReportsWorkerTierState)
     EXPECT_EQ(workers->getInt("crashes"), 0);
     ASSERT_NE(workers->get("per_worker"), nullptr);
     EXPECT_EQ(pong.getInt("quarantine_size"), 0);
-
-    // The in-process tier reports itself honestly too.
     server.stop();
-    ServeOptions inproc;
-    inproc.socketPath = socketPath("health-inproc");
-    inproc.workers = 1;
-    inproc.isolation = ServeIsolation::InProcess;
-    Server legacy(inproc);
-    legacy.start();
-    json::Object pingReq2;
-    pingReq2["op"] = "ping";
-    const json::Value pong2 =
-        request(inproc.socketPath, json::Value(std::move(pingReq2)));
-    EXPECT_EQ(pong2.getString("isolation"), "inproc");
-    EXPECT_EQ(pong2.get("workers"), nullptr);
-    legacy.stop();
 }
 
 } // namespace

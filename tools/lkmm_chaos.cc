@@ -21,6 +21,9 @@
  * or infrastructure error, 2 at least one invariant violation.
  */
 
+#include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -29,6 +32,7 @@
 #include <signal.h>
 
 #include "base/status.hh"
+#include "base/strutil.hh"
 #include "chaos/chaos.hh"
 
 namespace
@@ -144,112 +148,118 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const char *value = nullptr;
-        if (arg == "--list-sites")
-            return listSites();
-        if (arg == "--help" || arg == "-h")
-            return usage();
-        if (arg == "--verbose") {
-            verbose = true;
-        } else if (arg == "--ablate-crc") {
-            opts.ablateCrc = true;
-        } else if (arg == "--sites") {
-            if (!(value = needValue(i)))
+        try {
+            if (arg == "--list-sites")
+                return listSites();
+            if (arg == "--help" || arg == "-h")
                 return usage();
-            opts.sites = splitList(value);
-        } else if (arg == "--kinds") {
-            if (!(value = needValue(i)))
-                return usage();
-            for (const std::string &name : splitList(value)) {
-                const auto kind = faultinject::faultKindFromName(name);
-                if (!kind) {
-                    std::fprintf(stderr,
-                                 "lkmm-chaos: unknown fault kind '%s'\n",
-                                 name.c_str());
+            if (arg == "--verbose") {
+                verbose = true;
+            } else if (arg == "--ablate-crc") {
+                opts.ablateCrc = true;
+            } else if (arg == "--sites") {
+                if (!(value = needValue(i)))
+                    return usage();
+                opts.sites = splitList(value);
+            } else if (arg == "--kinds") {
+                if (!(value = needValue(i)))
+                    return usage();
+                for (const std::string &name : splitList(value)) {
+                    const auto kind =
+                        faultinject::faultKindFromName(name);
+                    if (!kind) {
+                        std::fprintf(
+                            stderr,
+                            "lkmm-chaos: unknown fault kind '%s'\n",
+                            name.c_str());
+                        return 1;
+                    }
+                    opts.kinds.push_back(*kind);
+                }
+            } else if (arg == "--max-hits") {
+                if (!(value = needValue(i)))
+                    return usage();
+                opts.maxHits =
+                    static_cast<int>(parseCount(arg, value, INT_MAX));
+            } else if (arg == "--torn-offsets") {
+                if (!(value = needValue(i)))
+                    return usage();
+                opts.tornOffsets.clear();
+                for (const std::string &n : splitList(value)) {
+                    opts.tornOffsets.push_back(static_cast<std::uint32_t>(
+                        parseCount(arg, n, UINT32_MAX)));
+                }
+            } else if (arg == "--max-schedules") {
+                if (!(value = needValue(i)))
+                    return usage();
+                opts.maxSchedules = parseCount(arg, value);
+            } else if (arg == "--plan") {
+                if (!(value = needValue(i)))
+                    return usage();
+                try {
+                    opts.explicitPlans.push_back(
+                        faultinject::FaultPlan::parse(value));
+                } catch (const std::exception &e) {
+                    std::fprintf(stderr, "lkmm-chaos: bad --plan: %s\n",
+                                 e.what());
                     return 1;
                 }
-                opts.kinds.push_back(*kind);
-            }
-        } else if (arg == "--max-hits") {
-            if (!(value = needValue(i)))
-                return usage();
-            opts.maxHits = std::atoi(value);
-        } else if (arg == "--torn-offsets") {
-            if (!(value = needValue(i)))
-                return usage();
-            opts.tornOffsets.clear();
-            for (const std::string &n : splitList(value)) {
-                opts.tornOffsets.push_back(
-                    static_cast<std::uint32_t>(std::atol(n.c_str())));
-            }
-        } else if (arg == "--max-schedules") {
-            if (!(value = needValue(i)))
-                return usage();
-            opts.maxSchedules =
-                static_cast<std::size_t>(std::atol(value));
-        } else if (arg == "--plan") {
-            if (!(value = needValue(i)))
-                return usage();
-            try {
-                opts.explicitPlans.push_back(
-                    faultinject::FaultPlan::parse(value));
-            } catch (const std::exception &e) {
-                std::fprintf(stderr, "lkmm-chaos: bad --plan: %s\n",
-                             e.what());
-                return 1;
-            }
-        } else if (arg == "--workload") {
-            if (!(value = needValue(i)))
-                return usage();
-            opts.workload = value;
-        } else if (arg == "--sweep-tests") {
-            if (!(value = needValue(i)))
-                return usage();
-            opts.sweepTests = static_cast<std::size_t>(std::atol(value));
-        } else if (arg == "--child-deadline-ms") {
-            if (!(value = needValue(i)))
-                return usage();
-            opts.childDeadline = std::chrono::milliseconds(std::atol(value));
-        } else if (arg == "--task-deadline-ms") {
-            if (!(value = needValue(i)))
-                return usage();
-            opts.taskDeadline = std::chrono::milliseconds(std::atol(value));
-        } else if (arg == "--workdir") {
-            if (!(value = needValue(i)))
-                return usage();
-            opts.workdir = value;
-        } else if (arg == "--repro-dir") {
-            if (!(value = needValue(i)))
-                return usage();
-            opts.reproDir = value;
-        } else if (arg == "--summary") {
-            if (!(value = needValue(i)))
-                return usage();
-            summaryMode = value;
-            if (summaryMode != "text" && summaryMode != "json") {
-                std::fprintf(stderr,
-                             "lkmm-chaos: --summary must be text or json\n");
-                return 1;
-            }
-        } else if (arg.rfind("--engine", 0) == 0) {
-            auto next = [&]() -> std::string {
-                const char *v = needValue(i);
-                if (!v)
-                    std::exit(usage());
-                return v;
-            };
-            try {
+            } else if (arg == "--workload") {
+                if (!(value = needValue(i)))
+                    return usage();
+                opts.workload = value;
+            } else if (arg == "--sweep-tests") {
+                if (!(value = needValue(i)))
+                    return usage();
+                opts.sweepTests = parseCount(arg, value);
+            } else if (arg == "--child-deadline-ms") {
+                if (!(value = needValue(i)))
+                    return usage();
+                opts.childDeadline =
+                    parseDuration<std::chrono::milliseconds>(arg, value);
+            } else if (arg == "--task-deadline-ms") {
+                if (!(value = needValue(i)))
+                    return usage();
+                opts.taskDeadline =
+                    parseDuration<std::chrono::milliseconds>(arg, value);
+            } else if (arg == "--workdir") {
+                if (!(value = needValue(i)))
+                    return usage();
+                opts.workdir = value;
+            } else if (arg == "--repro-dir") {
+                if (!(value = needValue(i)))
+                    return usage();
+                opts.reproDir = value;
+            } else if (arg == "--summary") {
+                if (!(value = needValue(i)))
+                    return usage();
+                summaryMode = value;
+                if (summaryMode != "text" && summaryMode != "json") {
+                    std::fprintf(
+                        stderr,
+                        "lkmm-chaos: --summary must be text or json\n");
+                    return 1;
+                }
+            } else if (arg.rfind("--engine", 0) == 0) {
+                auto next = [&]() -> std::string {
+                    const char *v = needValue(i);
+                    if (!v)
+                        std::exit(usage());
+                    return v;
+                };
                 if (!opts.engine.parseFlag(arg, next))
                     return usage();
-            } catch (const std::exception &e) {
-                std::fprintf(stderr, "lkmm-chaos: %s\n", e.what());
-                return 1;
+            } else {
+                std::fprintf(stderr, "lkmm-chaos: unknown option '%s'\n",
+                             argv[i]);
+                return usage();
             }
-        } else {
-            std::fprintf(stderr, "lkmm-chaos: unknown option '%s'\n",
-                         argv[i]);
-            return usage();
+        } catch (const std::exception &e) {
+            std::fprintf(stderr, "lkmm-chaos: %s\n", e.what());
+            return 1;
         }
     }
+
     if (opts.workdir.empty()) {
         std::fprintf(stderr, "lkmm-chaos: --workdir is required\n");
         return usage();

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -26,6 +27,7 @@
 #include "base/budget.hh"
 #include "base/scheduler.hh"
 #include "base/status.hh"
+#include "base/strutil.hh"
 #include "fuzz/campaign.hh"
 #include "fuzz/mutator.hh"
 #include "fuzz/oracle.hh"
@@ -156,12 +158,12 @@ main(int argc, char **argv)
         };
         try {
             if (arg == "--seed")
-                opts.seed = std::stoull(next());
+                opts.seed = parseCount(arg, next());
             else if (arg == "--max-iters")
-                opts.maxIters = std::stoull(next());
+                opts.maxIters = parseCount(arg, next());
             else if (arg == "--time-budget-s")
-                opts.timeBudget = std::chrono::seconds(
-                    std::stoll(next()));
+                opts.timeBudget =
+                    parseDuration<std::chrono::seconds>(arg, next());
             else if (arg == "--oracles")
                 opts.oracles = next();
             else if (arg == "--list-oracles") {
@@ -180,17 +182,18 @@ main(int argc, char **argv)
             else if (arg == "--no-isolate")
                 opts.oracle.isolate = false;
             else if (arg == "--jobs") {
-                opts.jobs = std::stoi(next());
-                if (opts.jobs <= 0) {
+                opts.jobs =
+                    static_cast<int>(parseCount(arg, next(), INT_MAX));
+                if (opts.jobs == 0) {
                     opts.jobs = static_cast<int>(
                         ThreadPool::hardwareThreads());
                 }
             } else if (arg == "--task-deadline-ms")
                 opts.oracle.limits.deadline =
-                    std::chrono::milliseconds(std::stoll(next()));
+                    parseDuration<std::chrono::milliseconds>(arg, next());
             else if (arg == "--max-candidates")
-                opts.oracle.engine.budget.maxCandidates =
-                    std::stoull(next());
+                opts.oracle.engine.parseFlag("--engine-max-candidates",
+                                             next);
             else if (opts.oracle.engine.parseFlag(arg, next))
                 ; // shared --engine-family flag
             else if (arg == "--replay")
@@ -203,9 +206,9 @@ main(int argc, char **argv)
                 return usage();
             else
                 return usage();
-        } catch (const std::exception &) {
-            std::fprintf(stderr, "lkmm-fuzz: bad value for %s\n",
-                         arg.c_str());
+        } catch (const std::exception &e) {
+            std::fprintf(stderr, "lkmm-fuzz: %s: %s\n", arg.c_str(),
+                         e.what());
             return 1;
         }
     }

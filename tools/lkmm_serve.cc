@@ -4,11 +4,10 @@
  *
  * Daemon mode binds a unix socket and answers length-prefixed JSON
  * verification requests, backed by a crash-safe journaled verdict
- * cache.  By default requests run on a crash-only pool of isolated
- * worker processes — a worker segfault, abort, OOM, or hang costs
- * exactly one sound Unknown response, never the daemon — with
- * self-healing respawn and a poison-pill quarantine in front;
- * --inproc keeps the PR-4 in-thread engine for comparison:
+ * cache.  Requests run on a crash-only pool of isolated worker
+ * processes — a worker segfault, abort, OOM, or hang costs exactly
+ * one sound Unknown response, never the daemon — with self-healing
+ * respawn and a poison-pill quarantine in front:
  *
  *   lkmm-serve --socket /tmp/lkmm.sock --cache /tmp/lkmm-cache.jsonl
  *
@@ -30,6 +29,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -42,6 +44,7 @@
 
 #include "base/budget.hh"
 #include "base/status.hh"
+#include "base/strutil.hh"
 #include "serve/server.hh"
 
 namespace
@@ -84,13 +87,8 @@ usage()
         "  --socket PATH          unix socket to bind (required)\n"
         "  --model SPEC           default model (registry name or\n"
         "                         cat:FILE; default lkmm)\n"
-        "  --jobs N               verification workers (0 = all\n"
+        "  --jobs N               isolated worker processes (0 = all\n"
         "                         hardware threads; default 0)\n"
-        "  --workers N            alias for --jobs that also forces\n"
-        "                         the isolated worker-process tier\n"
-        "  --inproc               run verification on the dispatch\n"
-        "                         threads instead of isolated worker\n"
-        "                         processes (shared address space)\n"
         "  --worker-recycle-requests N\n"
         "                         retire each worker process after N\n"
         "                         requests (default 0 = never)\n"
@@ -172,7 +170,7 @@ struct Options
     bool shutdown = false;
     bool oversizedProbe = false;
     bool malformedProbe = false;
-    long deadlineMs = 0;
+    std::chrono::milliseconds deadline{0};
     std::vector<std::string> files;
     lkmm::serve::ServeOptions serve;
 };
@@ -182,13 +180,9 @@ runDaemon(const Options &opt)
 {
     lkmm::serve::Server server(opt.serve);
     if (!opt.quiet) {
-        std::printf("lkmm-serve: listening on %s (model %s, %s)\n",
+        std::printf("lkmm-serve: listening on %s (model %s)\n",
                     opt.serve.socketPath.c_str(),
-                    opt.serve.model.c_str(),
-                    opt.serve.isolation ==
-                            lkmm::serve::ServeIsolation::Workers
-                        ? "isolated workers"
-                        : "in-process");
+                    opt.serve.model.c_str());
         std::fflush(stdout);
     }
     server.run(&g_cancel);
@@ -273,9 +267,9 @@ runClient(const Options &opt)
         req["litmus"] = readFile(file);
         if (!opt.serve.model.empty())
             req["model"] = opt.serve.model;
-        if (opt.deadlineMs > 0)
+        if (opt.deadline.count() > 0)
             req["deadline_ms"] =
-                static_cast<std::int64_t>(opt.deadlineMs);
+                static_cast<std::int64_t>(opt.deadline.count());
         if (opt.nocache)
             req["nocache"] = true;
         const Value response = client.request(Value(std::move(req)));
@@ -462,107 +456,85 @@ main(int argc, char **argv)
         return argv[++i];
     };
 
+    using lkmm::parseCount;
+    using lkmm::parseDuration;
+    using std::chrono::milliseconds;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h")
-            return usage();
-        else if (arg == "--client")
-            opt.client = true;
-        else if (arg == "--self-smoke")
-            opt.selfSmoke = true;
-        else if (arg == "--quiet")
-            opt.quiet = true;
-        else if (arg == "--nocache")
-            opt.nocache = true;
-        else if (arg == "--ping")
-            opt.ping = true;
-        else if (arg == "--stats")
-            opt.stats = true;
-        else if (arg == "--shutdown")
-            opt.shutdown = true;
-        else if (arg == "--oversized-probe")
-            opt.oversizedProbe = true;
-        else if (arg == "--malformed-probe")
-            opt.malformedProbe = true;
-        else if (arg == "--fsync")
-            opt.serve.cache.durability =
-                lkmm::journal::Durability::Fsync;
-        else if (arg == "--socket")
-            opt.serve.socketPath = needValue(i, "--socket");
-        else if (arg == "--model")
-            opt.serve.model = needValue(i, "--model");
-        else if (arg == "--cache")
-            opt.serve.cache.path = needValue(i, "--cache");
-        else if (arg == "--jobs")
-            opt.serve.workers = std::strtoul(
-                needValue(i, "--jobs"), nullptr, 10);
-        else if (arg == "--workers") {
-            opt.serve.workers = std::strtoul(
-                needValue(i, "--workers"), nullptr, 10);
-            opt.serve.isolation =
-                lkmm::serve::ServeIsolation::Workers;
-        } else if (arg == "--inproc")
-            opt.serve.isolation =
-                lkmm::serve::ServeIsolation::InProcess;
-        else if (arg == "--worker-recycle-requests")
-            opt.serve.workerRecycleRequests = std::strtoull(
-                needValue(i, "--worker-recycle-requests"), nullptr,
-                10);
-        else if (arg == "--worker-rss-limit-mb")
-            opt.serve.workerRssLimitMb = std::strtoul(
-                needValue(i, "--worker-rss-limit-mb"), nullptr, 10);
-        else if (arg == "--worker-deadline-ms")
-            opt.serve.workerDeadline = std::chrono::milliseconds(
-                std::strtol(needValue(i, "--worker-deadline-ms"),
-                            nullptr, 10));
-        else if (arg == "--quarantine-crashes")
-            opt.serve.quarantineCrashes = static_cast<int>(
-                std::strtol(needValue(i, "--quarantine-crashes"),
-                            nullptr, 10));
-        else if (arg == "--queue-depth")
-            opt.serve.maxPending = std::strtoul(
-                needValue(i, "--queue-depth"), nullptr, 10);
-        else if (arg == "--deadline-ms")
-            opt.deadlineMs = std::strtol(
-                needValue(i, "--deadline-ms"), nullptr, 10);
-        else if (arg == "--max-deadline-ms")
-            opt.serve.maxDeadline = std::chrono::milliseconds(
-                std::strtol(needValue(i, "--max-deadline-ms"),
-                            nullptr, 10));
-        else if (arg == "--time-limit-ms")
-            opt.serve.engine.budget.wallClock =
-                std::chrono::milliseconds(std::strtol(
-                    needValue(i, "--time-limit-ms"), nullptr, 10));
-        else if (arg == "--max-frame-bytes")
-            opt.serve.maxFrameBytes = static_cast<std::uint32_t>(
-                std::strtoul(needValue(i, "--max-frame-bytes"),
-                             nullptr, 10));
-        else if (arg == "--cache-max-entries")
-            opt.serve.cache.maxEntries = std::strtoul(
-                needValue(i, "--cache-max-entries"), nullptr, 10);
-        else if (arg == "--cache-compact-bytes")
-            opt.serve.cache.compactBytes = std::strtoull(
-                needValue(i, "--cache-compact-bytes"), nullptr, 10);
-        else if (arg.rfind("--engine", 0) == 0) {
-            auto next = [&]() -> std::string {
-                const char *v = needValue(i, arg.c_str());
-                if (!v)
-                    std::exit(usage());
-                return v;
-            };
-            try {
-                if (!opt.serve.engine.parseFlag(arg, next))
-                    return usage();
-            } catch (const std::exception &e) {
-                std::fprintf(stderr, "lkmm-serve: %s\n", e.what());
-                return 1;
+        auto next = [&]() -> std::string {
+            return needValue(i, arg.c_str());
+        };
+        try {
+            if (arg == "--help" || arg == "-h")
+                return usage();
+            else if (arg == "--client")
+                opt.client = true;
+            else if (arg == "--self-smoke")
+                opt.selfSmoke = true;
+            else if (arg == "--quiet")
+                opt.quiet = true;
+            else if (arg == "--nocache")
+                opt.nocache = true;
+            else if (arg == "--ping")
+                opt.ping = true;
+            else if (arg == "--stats")
+                opt.stats = true;
+            else if (arg == "--shutdown")
+                opt.shutdown = true;
+            else if (arg == "--oversized-probe")
+                opt.oversizedProbe = true;
+            else if (arg == "--malformed-probe")
+                opt.malformedProbe = true;
+            else if (arg == "--fsync")
+                opt.serve.cache.durability =
+                    lkmm::journal::Durability::Fsync;
+            else if (arg == "--socket")
+                opt.serve.socketPath = next();
+            else if (arg == "--model")
+                opt.serve.model = next();
+            else if (arg == "--cache")
+                opt.serve.cache.path = next();
+            else if (arg == "--jobs")
+                opt.serve.workers = parseCount(arg, next());
+            else if (arg == "--worker-recycle-requests")
+                opt.serve.workerRecycleRequests = parseCount(arg, next());
+            else if (arg == "--worker-rss-limit-mb")
+                opt.serve.workerRssLimitMb =
+                    parseCount(arg, next(), SIZE_MAX / 1024);
+            else if (arg == "--worker-deadline-ms")
+                opt.serve.workerDeadline =
+                    parseDuration<milliseconds>(arg, next());
+            else if (arg == "--quarantine-crashes")
+                opt.serve.quarantineCrashes =
+                    static_cast<int>(parseCount(arg, next(), INT_MAX));
+            else if (arg == "--queue-depth")
+                opt.serve.maxPending = parseCount(arg, next());
+            else if (arg == "--deadline-ms")
+                opt.deadline = parseDuration<milliseconds>(arg, next());
+            else if (arg == "--max-deadline-ms")
+                opt.serve.maxDeadline =
+                    parseDuration<milliseconds>(arg, next());
+            else if (arg == "--time-limit-ms")
+                opt.serve.engine.parseFlag("--engine-time-limit-ms", next);
+            else if (arg == "--max-frame-bytes")
+                opt.serve.maxFrameBytes = static_cast<std::uint32_t>(
+                    parseCount(arg, next(), UINT32_MAX));
+            else if (arg == "--cache-max-entries")
+                opt.serve.cache.maxEntries = parseCount(arg, next());
+            else if (arg == "--cache-compact-bytes")
+                opt.serve.cache.compactBytes = parseCount(arg, next());
+            else if (opt.serve.engine.parseFlag(arg, next))
+                ; // shared --engine-family flag
+            else if (!arg.empty() && arg[0] == '-') {
+                std::fprintf(stderr, "lkmm-serve: unknown option %s\n",
+                             arg.c_str());
+                return usage();
+            } else {
+                opt.files.push_back(arg);
             }
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "lkmm-serve: unknown option %s\n",
-                         arg.c_str());
-            return usage();
-        } else {
-            opt.files.push_back(arg);
+        } catch (const std::exception &e) {
+            std::fprintf(stderr, "lkmm-serve: %s\n", e.what());
+            return 1;
         }
     }
 
@@ -582,8 +554,7 @@ main(int argc, char **argv)
         if (opt.client || opt.ping || opt.stats || opt.shutdown ||
             opt.oversizedProbe || opt.malformedProbe)
             return runClient(opt);
-        opt.serve.defaultDeadline =
-            std::chrono::milliseconds(opt.deadlineMs);
+        opt.serve.defaultDeadline = opt.deadline;
         return runDaemon(opt);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "lkmm-serve: %s\n", e.what());

@@ -25,6 +25,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -38,6 +40,7 @@
 #include "base/budget.hh"
 #include "base/scheduler.hh"
 #include "base/status.hh"
+#include "base/strutil.hh"
 #include "lkmm/batch.hh"
 #include "lkmm/catalog.hh"
 #include "lkmm/report.hh"
@@ -229,27 +232,29 @@ main(int argc, char **argv)
                 else
                     return usage();
             } else if (arg == "--jobs") {
-                opts.workers = std::stoi(next());
-                if (opts.workers <= 0) {
+                opts.workers =
+                    static_cast<int>(parseCount(arg, next(), INT_MAX));
+                if (opts.workers == 0) {
                     opts.workers = static_cast<int>(
                         ThreadPool::hardwareThreads());
                 }
             } else if (arg == "--sweep-time-limit-ms")
                 opts.sweepBudget.wallClock =
-                    std::chrono::milliseconds(std::stoll(next()));
+                    parseDuration<std::chrono::milliseconds>(arg, next());
             else if (arg == "--sweep-max-candidates")
-                opts.sweepBudget.maxCandidates = std::stoull(next());
+                opts.sweepBudget.maxCandidates = parseCount(arg, next());
             else if (arg == "--task-deadline-ms")
                 opts.taskDeadline =
-                    std::chrono::milliseconds(std::stoll(next()));
+                    parseDuration<std::chrono::milliseconds>(arg, next());
             else if (arg == "--task-cpu-s")
                 opts.taskCpuSeconds =
-                    static_cast<unsigned>(std::stoul(next()));
+                    static_cast<unsigned>(parseCount(arg, next(), UINT_MAX));
             else if (arg == "--task-mem-mb")
                 opts.taskMemoryBytes =
-                    std::stoull(next()) * 1024 * 1024;
+                    parseCount(arg, next(), SIZE_MAX / (1024 * 1024)) *
+                    1024 * 1024;
             else if (arg == "--seed")
-                opts.seed = std::stoull(next());
+                opts.seed = parseCount(arg, next());
             else if (arg == "--journal")
                 opts.journalPath = next();
             else if (arg == "--resume")
@@ -261,7 +266,8 @@ main(int argc, char **argv)
             else if (arg == "--max-rf")
                 opts.engine.parseFlag("--engine-max-rf", next);
             else if (arg == "--retries")
-                opts.retry.budgetRetries = std::stoi(next());
+                opts.retry.budgetRetries =
+                    static_cast<int>(parseCount(arg, next(), INT_MAX));
             else if (arg == "--escalation")
                 opts.retry.budgetEscalation = std::stod(next());
             else if (arg == "--summary")
@@ -280,9 +286,9 @@ main(int argc, char **argv)
                 return usage();
             else
                 inputs.push_back(arg);
-        } catch (const std::exception &) {
-            std::fprintf(stderr, "lkmm-sweep: bad value for %s\n",
-                         arg.c_str());
+        } catch (const std::exception &e) {
+            std::fprintf(stderr, "lkmm-sweep: %s: %s\n", arg.c_str(),
+                         e.what());
             return 1;
         }
     }
