@@ -1,5 +1,6 @@
 #include "base/budget.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -21,6 +22,17 @@ boundKindName(BoundKind kind)
     return "unknown";
 }
 
+std::optional<BoundKind>
+boundKindFromName(const std::string &name)
+{
+    for (int i = 0; i < kNumBoundKinds; ++i) {
+        const BoundKind k = static_cast<BoundKind>(i);
+        if (name == boundKindName(k))
+            return k;
+    }
+    return std::nullopt;
+}
+
 const char *
 completenessName(Completeness c)
 {
@@ -40,7 +52,7 @@ scaleCount(std::size_t count, double factor)
         static_cast<double>(std::numeric_limits<std::size_t>::max());
     if (scaled >= max)
         return std::numeric_limits<std::size_t>::max();
-    return scaled < 1.0 ? 1 : static_cast<std::size_t>(scaled);
+    return scaled >= 1.0 ? static_cast<std::size_t>(scaled) : 1;
 }
 
 std::string
@@ -56,14 +68,13 @@ RunBudget::scaled(double factor) const
 {
     RunBudget b = *this;
     if (b.wallClock.count() > 0) {
-        const double ns =
-            static_cast<double>(b.wallClock.count()) * factor;
-        const double max = static_cast<double>(
-            std::numeric_limits<std::chrono::nanoseconds::rep>::max());
-        b.wallClock = std::chrono::nanoseconds(
-            ns >= max
-                ? std::numeric_limits<std::chrono::nanoseconds::rep>::max()
-                : static_cast<std::chrono::nanoseconds::rep>(ns));
+        // Nanoseconds scale like a count: saturating, and never down
+        // to 0, which would mean unlimited.
+        using Rep = std::chrono::nanoseconds::rep;
+        const std::size_t ns = scaleCount(
+            static_cast<std::size_t>(b.wallClock.count()), factor);
+        b.wallClock = std::chrono::nanoseconds(static_cast<Rep>(
+            std::min<std::size_t>(ns, std::numeric_limits<Rep>::max())));
     }
     b.maxCandidates = scaleCount(maxCandidates, factor);
     b.maxRfAssignments = scaleCount(maxRfAssignments, factor);

@@ -36,6 +36,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <optional>
 #include <string>
 
 namespace lkmm
@@ -75,8 +76,13 @@ enum class BoundKind
     SweepBudget,
 };
 
+constexpr int kNumBoundKinds = 7;
+
 /** Short stable name, e.g. "wall-clock". */
 const char *boundKindName(BoundKind kind);
+
+/** Inverse of boundKindName; nullopt for unknown names. */
+std::optional<BoundKind> boundKindFromName(const std::string &name);
 
 /** Did a bounded run see the whole search space? */
 enum class Completeness
@@ -128,7 +134,9 @@ struct RunBudget
 
     /**
      * The escalation policy of the batch runner: every numeric bound
-     * multiplied by factor (saturating; unlimited stays unlimited).
+     * multiplied by factor (saturating; unlimited stays unlimited,
+     * and a bounded field stays bounded, at least 1 ns or 1 unit,
+     * whatever the factor).
      */
     RunBudget scaled(double factor) const;
 

@@ -17,8 +17,6 @@ namespace lkmm::faultinject
 namespace
 {
 
-std::atomic<bool> g_armed[kNumPoints];
-
 /**
  * Context filter (empty = match everything).  Guarded by a mutex;
  * the common disarmed path never takes it.
@@ -48,7 +46,7 @@ std::vector<ActivePlan> g_plans;
 /** Passages of any planned site (the planHits() diagnostic). */
 std::uint64_t g_plan_hits = 0;
 
-/** Parse the LKMM_FAULT_* variables once, on first use of any point. */
+/** Parse the LKMM_FAULT_* variables once, on first use of any site. */
 std::once_flag g_env_once;
 
 void
@@ -67,12 +65,6 @@ filterMatches(const char *what)
 {
     std::lock_guard<std::mutex> lock(g_filter_mutex);
     return g_filter.empty() || (what && g_filter == what);
-}
-
-void
-ensureEnvLoaded()
-{
-    std::call_once(g_env_once, armFromEnv);
 }
 
 [[noreturn]] void
@@ -103,7 +95,7 @@ struct PlanAction
 PlanAction
 planCheck(const char *id, const char *what)
 {
-    ensureEnvLoaded();
+    std::call_once(g_env_once, armFromEnv);
     PlanAction action;
     if (!g_plan_active.load(std::memory_order_relaxed))
         return action;
@@ -163,56 +155,9 @@ fireCommon(const PlanAction &action, const char *id, const char *what)
 
 } // namespace
 
-const char *
-pointName(Point p)
-{
-    switch (p) {
-      case Point::LitmusParse: return "litmus-parse";
-      case Point::CatParse: return "cat-parse";
-      case Point::CatEval: return "cat-eval";
-      case Point::Enumerate: return "enumerate";
-      case Point::CrashSegv: return "crash-segv";
-      case Point::CrashAbort: return "crash-abort";
-      case Point::Hang: return "hang";
-    }
-    return "unknown";
-}
-
-void
-arm(Point p)
-{
-    g_armed[static_cast<int>(p)].store(true, std::memory_order_relaxed);
-}
-
-void
-armFromSpec(const std::string &spec)
-{
-    for (std::string name : split(spec, ',')) {
-        name = trim(name);
-        if (name.empty())
-            continue;
-        bool known = false;
-        for (int i = 0; i < kNumPoints; ++i) {
-            const Point p = static_cast<Point>(i);
-            if (name == pointName(p)) {
-                arm(p);
-                known = true;
-                break;
-            }
-        }
-        if (!known) {
-            throw StatusError(Status(
-                StatusCode::InvalidArgument,
-                "unknown fault-injection point '" + name + "'"));
-        }
-    }
-}
-
 void
 reset()
 {
-    for (auto &a : g_armed)
-        a.store(false, std::memory_order_relaxed);
     setFilter("");
     {
         std::lock_guard<std::mutex> lock(g_plan_mutex);
@@ -228,45 +173,6 @@ setFilter(const std::string &filter)
 {
     std::lock_guard<std::mutex> lock(g_filter_mutex);
     g_filter = filter;
-}
-
-bool
-armed(Point p)
-{
-    ensureEnvLoaded();
-    return g_armed[static_cast<int>(p)].load(std::memory_order_relaxed);
-}
-
-void
-maybeFail(Point p, const char *what)
-{
-    ensureEnvLoaded();
-    auto &flag = g_armed[static_cast<int>(p)];
-    if (flag.load(std::memory_order_relaxed) && filterMatches(what)) {
-        // One-shot: disarm before failing so a retry can succeed.
-        // For the crash points this only matters to the forked
-        // child's copy of the flag; the parent stays armed, which is
-        // why crash tests always pair arming with a filter.
-        if (flag.exchange(false, std::memory_order_relaxed)) {
-            switch (p) {
-              case Point::CrashSegv:
-                std::raise(SIGSEGV);
-                break;
-              case Point::CrashAbort:
-                std::abort();
-              case Point::Hang:
-                spinForever();
-              default:
-                throw StatusError(Status(
-                    StatusCode::Internal,
-                    std::string("injected fault at ") + pointName(p) +
-                        ": " + (what ? what : "")));
-            }
-            return;
-        }
-    }
-    // The legacy points double as plan-targetable sites.
-    checkSite(pointName(p), what);
 }
 
 /* ------------------------------------------------------------------ */
@@ -311,7 +217,8 @@ siteRegistry()
         {site::kLitmusParse, "litmus parser entry", kErr | kMem},
         {site::kCatParse, "cat parser entry", kErr | kMem},
         {site::kCatEval, "cat evaluator entry", kErr | kMem},
-        {site::kEnumerate, "candidate enumerator entry", kErr | kMem},
+        {site::kEnumerate, "candidate enumerator entry",
+         kErr | kCrash | kHang | kMem},
         {site::kBatchItem, "batch runner, start of one test",
          kErr | kMem | kCrash | kHang},
         {site::kBatchParse, "batch runner, lazy litmus parse",

@@ -5,32 +5,29 @@
  *
  * The robustness layer (status taxonomy, batch failure isolation,
  * the journal, the fork sandbox, the retry policy) is only
- * trustworthy if its error paths run.  Two mechanisms exercise
- * them:
+ * trustworthy if its error paths run.  Every instrumented site has
+ * a stable string id in the site registry (siteRegistry()), and a
+ * fault plan (FaultPlan / setPlan) says "trip site S on its k-th hit
+ * with fault F", where F ranges over FaultKind — error, torn-write,
+ * crash, hang, EINTR, ENOMEM.  Plans are one-shot: a plan
+ * deactivates when it fires, and planFired() reports whether it
+ * did.  Plans are what tools/lkmm-chaos enumerates to systematically
+ * explore the failure space (see DESIGN.md "Fault-schedule
+ * exploration and retry policy").
  *
- * 1. Legacy one-shot points (Point / arm / maybeFail): arming a
- *    point makes its next passage throw StatusError(Internal), or,
- *    for the crash points, raise a hard failure.  Tests drive
- *    these directly through arm() and armFromSpec().
- *
- * 2. Fault plans (FaultPlan / setPlan): every instrumented site has
- *    a stable string id in the site registry (siteRegistry()), and a
- *    plan says "trip site S on its k-th hit with fault F", where F
- *    ranges over FaultKind — error, torn-write, crash, hang, EINTR,
- *    ENOMEM.  Plans are one-shot: the plan deactivates when it
- *    fires, and planFired() reports whether it did.  Plans are what
- *    tools/lkmm-chaos enumerates to systematically explore the
- *    failure space (see DESIGN.md "Fault-schedule exploration and
- *    retry policy").
+ * A crash or hang plan takes the whole process down, so it belongs
+ * around sandboxed work: a forked sweep child, a serve worker or a
+ * fuzz oracle side.  Each of them passes the "enumerate" site with
+ * the test's name as context, so one plan plus a context filter
+ * kills exactly the targeted test in any sandbox.  A forked child
+ * inherits the plan with the parent's counter, which stays at zero
+ * while the parent never passes a matching site.
  *
  * Arming is programmatic or via environment variables —
  * LKMM_FAULT_PLAN (comma-separated "site:hit:kind[:tornBytes]"
  * specs) and LKMM_FAULT_INJECT_FILTER (context filter) — useful for
  * exercising a release binary's failure handling and for planting a
  * plan in a forked child.
- *
- * The legacy LKMM_FAULT_INJECT variable is no longer read: plans
- * subsume it ("litmus-parse" is exactly "litmus-parse:1:error").
  *
  * The disarmed fast path of every entry point is a single relaxed
  * atomic load, so release-path overhead is negligible.
@@ -47,65 +44,18 @@
 namespace lkmm::faultinject
 {
 
-/** The legacy one-shot injection points. */
-enum class Point
-{
-    LitmusParse,
-    CatParse,
-    CatEval,
-    Enumerate,
-    /**
-     * Hard-crash actions for exercising the process-isolation layer
-     * (base/subprocess, forked batch mode).  Unlike the points
-     * above, firing one of these does not throw: CrashSegv raises
-     * SIGSEGV, CrashAbort calls std::abort(), and Hang spins until
-     * killed — the three child-death shapes the sandbox must decode
-     * (signal, abort, watchdog timeout).  Arm them only around
-     * sandboxed work: in-process they take the whole process down,
-     * which is exactly what the sandbox exists to contain.
-     */
-    CrashSegv,
-    CrashAbort,
-    Hang,
-};
-
-constexpr int kNumPoints = 7;
-
-/** Stable name used by armFromSpec, e.g. "litmus-parse". */
-const char *pointName(Point p);
-
-/** Arm one point: its next passage throws. */
-void arm(Point p);
-
-/** Arm from a spec like "litmus-parse,cat-eval"; unknown names throw. */
-void armFromSpec(const std::string &spec);
-
-/** Disarm every point, clear the context filter and the plan. */
+/** Clear the context filter and every plan. */
 void reset();
 
 /**
  * Restrict firing to passages whose context string equals filter
- * (empty = fire anywhere).  The batch runner passes the test name
- * as context, so a filter targets one test of a sweep — essential
- * for the crash points, whose armed state is inherited by every
- * forked child and never disarms in the parent.  Also settable via
- * LKMM_FAULT_INJECT_FILTER.  The filter applies to legacy points
- * and to plans alike.
+ * (empty = fire anywhere).  The sandboxes pass the test name as
+ * context, so a filter targets one test of a sweep, one request of
+ * a serve daemon or one fuzz candidate.  A passage the filter
+ * rejects neither fires nor advances any plan's hit counter.  Also
+ * settable via LKMM_FAULT_INJECT_FILTER.
  */
 void setFilter(const std::string &filter);
-
-/** Is the point currently armed? */
-bool armed(Point p);
-
-/**
- * A legacy injection point: no-op unless armed (and the context
- * filter, if set, matches what), in which case it disarms the point
- * and throws StatusError(Internal) — or, for the crash points,
- * raises the corresponding hard failure instead of throwing.  Also
- * checks the active plan under the point's name, so a FaultPlan can
- * target the legacy sites too.
- */
-void maybeFail(Point p, const char *what);
 
 /* ------------------------------------------------------------------ */
 /* Fault-site registry and fault plans                                */
@@ -151,7 +101,7 @@ kindBit(FaultKind k)
 /** The stable site ids.  Every instrumented operation names one. */
 namespace site
 {
-/* parse/eval/enumerate (the legacy points, plan-targetable too) */
+/* library entry points (enumerate also runs inside every sandbox) */
 inline constexpr const char *kLitmusParse = "litmus-parse";
 inline constexpr const char *kCatParse = "cat-parse";
 inline constexpr const char *kCatEval = "cat-eval";

@@ -18,6 +18,17 @@ statusCodeName(StatusCode code)
     return "unknown";
 }
 
+std::optional<StatusCode>
+statusCodeFromName(const std::string &name)
+{
+    for (int i = 0; i < kNumStatusCodes; ++i) {
+        const StatusCode code = static_cast<StatusCode>(i);
+        if (name == statusCodeName(code))
+            return code;
+    }
+    return std::nullopt;
+}
+
 std::string
 Status::toString() const
 {

@@ -20,6 +20,7 @@
 #define LKMM_BASE_STATUS_HH
 
 #include <exception>
+#include <optional>
 #include <string>
 
 #include "base/logging.hh"
@@ -45,8 +46,13 @@ enum class StatusCode
     Internal,
 };
 
+constexpr int kNumStatusCodes = 7;
+
 /** Short stable name, e.g. "parse-error". */
 const char *statusCodeName(StatusCode code);
+
+/** Inverse of statusCodeName; nullopt for unknown names. */
+std::optional<StatusCode> statusCodeFromName(const std::string &name);
 
 /** An error code plus a human-readable message. */
 class Status

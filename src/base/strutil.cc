@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 
@@ -115,6 +116,22 @@ parseCount(const std::string &flag, const std::string &text,
             "bad value '" + text + "' for " + flag +
                 " (expected decimal digits, at most " +
                 std::to_string(max) + ")"));
+    }
+    return v;
+}
+
+double
+parseFactor(const std::string &flag, const std::string &text)
+{
+    double v = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] =
+        std::from_chars(text.data(), end, v, std::chars_format::fixed);
+    if (ec != std::errc() || ptr != end || !std::isfinite(v) || v < 1.0) {
+        throw StatusError(Status(
+            StatusCode::InvalidArgument,
+            "bad value '" + text + "' for " + flag +
+                " (expected a finite decimal, at least 1)"));
     }
     return v;
 }

@@ -47,6 +47,14 @@ std::string format(const char *fmt, ...)
 std::uint64_t parseCount(const std::string &flag, const std::string &text,
                          std::uint64_t max = UINT64_MAX);
 
+/**
+ * Parse the value of a scale-factor flag: a finite decimal such as
+ * "8" or "1.5" that is at least 1.  Anything else — a suffix, an
+ * exponent, nan, inf, a value below 1 — throws
+ * StatusError(InvalidArgument) naming `flag`.
+ */
+double parseFactor(const std::string &flag, const std::string &text);
+
 /** parseCount for a duration flag, capped so it fits in nanoseconds. */
 template <typename Duration>
 Duration

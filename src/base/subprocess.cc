@@ -218,14 +218,21 @@ Child::onReadable()
     if (fd_ < 0)
         return true;
     char buf[4096];
+    // The first read may block: poll() reported the channel readable,
+    // and finish() drains by calling us until EOF.  A read that fills
+    // the buffer is followed only by non-blocking ones, or a child
+    // that wrote an exact multiple of the buffer and then hung would
+    // hold us here past its deadline.
+    int flags = 0;
     for (;;) {
         ssize_t n = retryEintr(site::kSubprocessRead, EIO, [&] {
-            return ::read(fd_, buf, sizeof(buf));
+            return ::recv(fd_, buf, sizeof(buf), flags);
         });
         if (n > 0) {
             output_.append(buf, static_cast<std::size_t>(n));
             if (n < static_cast<ssize_t>(sizeof(buf)))
                 return false; // drained what was available
+            flags = MSG_DONTWAIT;
             continue;
         }
         if (n == 0) {

@@ -582,7 +582,7 @@ CatModel::fromFile(const std::string &path)
 std::optional<Violation>
 CatModel::check(const CandidateExecution &ex) const
 {
-    faultinject::maybeFail(faultinject::Point::CatEval, name_.c_str());
+    faultinject::checkSite(faultinject::site::kCatEval, name_.c_str());
     Evaluator evaluator(ex, maxEvalSteps_);
 
     // Pull replayable values out of the memo.  The seed is copied

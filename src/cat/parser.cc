@@ -499,7 +499,7 @@ class Parser
 CatFile
 parseCat(const std::string &source)
 {
-    faultinject::maybeFail(faultinject::Point::CatParse, "parseCat");
+    faultinject::checkSite(faultinject::site::kCatParse, "parseCat");
     Parser parser(source);
     return parser.parse();
 }

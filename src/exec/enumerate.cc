@@ -14,7 +14,7 @@ using enumcore::Valuation;
 void
 Enumerator::forEach(const std::function<bool(const CandidateExecution &)> &fn)
 {
-    faultinject::maybeFail(faultinject::Point::Enumerate,
+    faultinject::checkSite(faultinject::site::kEnumerate,
                            prog_.name.c_str());
 
     BudgetTracker tracker(budget_);

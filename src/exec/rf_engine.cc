@@ -72,7 +72,7 @@ void
 RfFirstEngine::forEach(
     const std::function<bool(const CandidateExecution &)> &fn)
 {
-    faultinject::maybeFail(faultinject::Point::Enumerate,
+    faultinject::checkSite(faultinject::site::kEnumerate,
                            prog_.name.c_str());
 
     BudgetTracker tracker(budget_);

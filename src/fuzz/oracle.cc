@@ -4,7 +4,6 @@
 #include <memory>
 #include <sstream>
 
-#include "base/faultinject.hh"
 #include "base/status.hh"
 #include "cat/eval.hh"
 #include "model/lkmm_model.hh"
@@ -204,19 +203,14 @@ makeOracle(const std::string &name, const std::string &catModelDir)
 
 /**
  * The child/side computation, shared by the isolated and in-process
- * paths.  The faultinject crash points fire here, keyed by the
- * candidate's name, so tests can make one specific side crash.
+ * paths.  The side's engine passes the "enumerate" fault site with
+ * the candidate's name as context, so a crash or hang plan filtered
+ * by that name kills this side inside its sandbox.
  */
 std::string
 evalSidePayload(const OracleSide &side, const Program &prog,
                 const OracleOptions &opts)
 {
-    faultinject::maybeFail(faultinject::Point::CrashSegv,
-                           prog.name.c_str());
-    faultinject::maybeFail(faultinject::Point::CrashAbort,
-                           prog.name.c_str());
-    faultinject::maybeFail(faultinject::Point::Hang,
-                           prog.name.c_str());
     try {
         const Verdict v = side.eval(prog, opts.engine, opts.seed);
         return std::string("ok ") + verdictName(v);
@@ -235,12 +229,7 @@ decodePayload(const std::string &payload)
     ss >> tag >> rest;
     if (tag == "ok") {
         out.kind = SideOutcome::Kind::Ok;
-        if (rest == "Allow")
-            out.verdict = Verdict::Allow;
-        else if (rest == "Forbid")
-            out.verdict = Verdict::Forbid;
-        else
-            out.verdict = Verdict::Unknown;
+        out.verdict = verdictFromName(rest).value_or(Verdict::Unknown);
         return out;
     }
     if (tag == "err") {

@@ -18,21 +18,6 @@ TriageDb::add(const FuzzFinding &f)
     return inserted;
 }
 
-namespace
-{
-
-Verdict
-verdictFromName(const std::string &name)
-{
-    if (name == "Allow")
-        return Verdict::Allow;
-    if (name == "Forbid")
-        return Verdict::Forbid;
-    return Verdict::Unknown;
-}
-
-} // namespace
-
 json::Value
 encodeFuzzMeta(std::uint64_t seed, const std::string &oracles,
                std::uint64_t maxIters)
@@ -101,8 +86,10 @@ recoverCampaign(const std::string &path)
             f.finding.oracle = r.getString("oracle");
             f.finding.kind = r.getString("kind");
             f.finding.detail = r.getString("detail");
-            f.finding.a = verdictFromName(r.getString("a"));
-            f.finding.b = verdictFromName(r.getString("b"));
+            f.finding.a =
+                verdictFromName(r.getString("a")).value_or(Verdict::Unknown);
+            f.finding.b =
+                verdictFromName(r.getString("b")).value_or(Verdict::Unknown);
             f.source = r.getString("source");
             f.minimized = r.getString("minimized");
             out.findings.push_back(std::move(f));

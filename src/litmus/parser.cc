@@ -771,7 +771,7 @@ class LitmusParser
 Program
 parseLitmus(const std::string &source)
 {
-    faultinject::maybeFail(faultinject::Point::LitmusParse,
+    faultinject::checkSite(faultinject::site::kLitmusParse,
                            "parseLitmus");
     LitmusParser parser(source);
     return parser.parse();

@@ -168,14 +168,6 @@ BatchRunner::runItem(Item &item, const Model &model,
 {
     ItemOutcome outcome;
 
-    // Crash-injection points for the isolation layer's tests: these
-    // take the *process* down, so only a forked child survives them.
-    faultinject::maybeFail(faultinject::Point::CrashSegv,
-                           item.name.c_str());
-    faultinject::maybeFail(faultinject::Point::CrashAbort,
-                           item.name.c_str());
-    faultinject::maybeFail(faultinject::Point::Hang, item.name.c_str());
-
     // Parse stage (failure-isolated; transient faults retried).
     if (!item.prog) {
         int parseRetries = 0;

@@ -34,6 +34,8 @@ enum class Verdict
     Unknown,
 };
 
+constexpr int kNumVerdicts = 3;
+
 inline const char *
 verdictName(Verdict v)
 {
@@ -43,6 +45,18 @@ verdictName(Verdict v)
       case Verdict::Unknown: return "Unknown";
     }
     return "?";
+}
+
+/** Inverse of verdictName; nullopt for unknown names. */
+inline std::optional<Verdict>
+verdictFromName(const std::string &name)
+{
+    for (int i = 0; i < kNumVerdicts; ++i) {
+        const Verdict v = static_cast<Verdict>(i);
+        if (name == verdictName(v))
+            return v;
+    }
+    return std::nullopt;
 }
 
 /** Everything the runner learned about one test under one model. */

@@ -9,7 +9,6 @@ namespace lkmm
 namespace
 {
 
-
 [[noreturn]] void
 schemaError(const std::string &what)
 {
@@ -17,40 +16,19 @@ schemaError(const std::string &what)
                              "sweep journal: " + what));
 }
 
-Verdict
-verdictFromName(const std::string &name)
+/**
+ * Decode an enum name; a name this build does not know is a schema
+ * error.
+ */
+template <typename Enum>
+Enum
+decodeName(std::optional<Enum> (*fromName)(const std::string &),
+           const char *what, const std::string &name)
 {
-    for (Verdict v : {Verdict::Allow, Verdict::Forbid, Verdict::Unknown}) {
-        if (name == verdictName(v))
-            return v;
-    }
-    schemaError("unknown verdict '" + name + "'");
-}
-
-BoundKind
-boundFromName(const std::string &name)
-{
-    for (BoundKind k :
-         {BoundKind::None, BoundKind::WallClock, BoundKind::Candidates,
-          BoundKind::RfAssignments, BoundKind::EvalSteps,
-          BoundKind::Cancelled, BoundKind::SweepBudget}) {
-        if (name == boundKindName(k))
-            return k;
-    }
-    schemaError("unknown bound kind '" + name + "'");
-}
-
-StatusCode
-statusCodeFromName(const std::string &name)
-{
-    for (StatusCode c :
-         {StatusCode::Ok, StatusCode::ParseError, StatusCode::EvalError,
-          StatusCode::BudgetExceeded, StatusCode::InvalidArgument,
-          StatusCode::IoError, StatusCode::Internal}) {
-        if (name == statusCodeName(c))
-            return c;
-    }
-    schemaError("unknown status code '" + name + "'");
+    const std::optional<Enum> value = fromName(name);
+    if (!value)
+        schemaError(std::string("unknown ") + what + " '" + name + "'");
+    return *value;
 }
 
 std::string
@@ -176,7 +154,8 @@ decodeRecord(const json::Value &record,
         BatchItemResult res;
         res.name = test;
         res.attempts = static_cast<int>(record.getInt("attempts", 1));
-        res.result.verdict = verdictFromName(record.getString("verdict"));
+        res.result.verdict = decodeName(verdictFromName, "verdict",
+                                        record.getString("verdict"));
         res.result.candidates =
             static_cast<std::size_t>(record.getInt("candidates"));
         res.result.allowedCandidates =
@@ -188,7 +167,8 @@ decodeRecord(const json::Value &record,
                 ? Completeness::Truncated
                 : Completeness::Complete;
         res.result.trippedBound =
-            boundFromName(record.getString("bound", "none"));
+            decodeName(boundKindFromName, "bound kind",
+                       record.getString("bound", "none"));
         // Stats fields are additive (journals from before them
         // decode with zeros).
         json::getFields(record, res.result.stats, statsFields());
@@ -206,7 +186,8 @@ decodeRecord(const json::Value &record,
         TestFailure f;
         f.test = test;
         f.phase = record.getString("phase");
-        f.status = Status(statusCodeFromName(record.getString("code")),
+        f.status = Status(decodeName(statusCodeFromName, "status code",
+                                     record.getString("code")),
                           record.getString("message"));
         outcomes[test].failures.push_back(std::move(f));
         return;
@@ -215,8 +196,10 @@ decodeRecord(const json::Value &record,
         const std::string test = requireTest(record);
         Divergence d;
         d.test = test;
-        d.primary = verdictFromName(record.getString("primary"));
-        d.reference = verdictFromName(record.getString("reference"));
+        d.primary = decodeName(verdictFromName, "verdict",
+                               record.getString("primary"));
+        d.reference = decodeName(verdictFromName, "verdict",
+                                 record.getString("reference"));
         outcomes[test].divergences.push_back(std::move(d));
         return;
     }

@@ -46,22 +46,6 @@ resultValue(const std::string &testName, const std::string &modelSpec,
     return result;
 }
 
-StatusCode
-statusCodeFromName(const std::string &name)
-{
-    static constexpr StatusCode kCodes[] = {
-        StatusCode::Ok,           StatusCode::ParseError,
-        StatusCode::EvalError,    StatusCode::BudgetExceeded,
-        StatusCode::InvalidArgument, StatusCode::IoError,
-        StatusCode::Internal,
-    };
-    for (const StatusCode code : kCodes) {
-        if (name == statusCodeName(code))
-            return code;
-    }
-    return StatusCode::Internal;
-}
-
 /**
  * Worker side of one request: parse, run, encode.  Never throws —
  * every failure becomes a structured {"ok":false,...} reply, which
@@ -77,18 +61,6 @@ runOne(const std::string &frame,
     json::Object resp;
     try {
         const json::Value req = json::Value::parse(frame);
-        const std::string name = req.getString("name");
-        // The crash-injection hooks the ctest suite drives: same
-        // contract as the batch runner — context is the test name,
-        // so an armed point plus a filter crashes exactly the
-        // targeted request.  The armed flags were inherited over
-        // fork; firing one here kills this worker, not the daemon.
-        faultinject::maybeFail(faultinject::Point::CrashSegv,
-                               name.c_str());
-        faultinject::maybeFail(faultinject::Point::CrashAbort,
-                               name.c_str());
-        faultinject::maybeFail(faultinject::Point::Hang, name.c_str());
-
         const Program prog = parseLitmus(req.getString("litmus"));
         const std::string spec = req.getString("model");
         std::unique_ptr<Model> &model = models[spec];
@@ -308,7 +280,6 @@ WorkerPool::execute(const WorkerRequest &req)
 
     json::Object o;
     o["op"] = "run";
-    o["name"] = req.name;
     o["litmus"] = req.litmus;
     o["model"] = req.model;
     o["budget_wall_ns"] = static_cast<std::int64_t>(
@@ -411,7 +382,8 @@ WorkerPool::execute(const WorkerRequest &req)
             } else {
                 out.kind = WorkerOutcome::Kind::Error;
                 out.error = Status(
-                    statusCodeFromName(reply.getString("code")),
+                    statusCodeFromName(reply.getString("code"))
+                        .value_or(StatusCode::Internal),
                     reply.getString("message"));
             }
             std::lock_guard<std::mutex> lock(mutex_);

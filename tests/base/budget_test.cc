@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the robustness base layer: RunBudget/BudgetTracker
  * (base/budget.hh), the status taxonomy (base/status.hh) and the
- * fault-injection hooks (base/faultinject.hh).
+ * name inverses of BoundKind, StatusCode and Verdict.
  */
 
 #include <gtest/gtest.h>
@@ -10,14 +10,15 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "base/budget.hh"
-#include "base/faultinject.hh"
 #include "base/logging.hh"
 #include "base/status.hh"
+#include "lkmm/runner.hh"
 
 namespace lkmm
 {
@@ -78,6 +79,22 @@ TEST(RunBudget, ScaledSaturatesInsteadOfWrapping)
     // which would mean "unlimited" — saturation is fine for an
     // escalation policy, silent unlimiting is not the contract).
     EXPECT_EQ(s.maxCandidates, std::numeric_limits<std::size_t>::max());
+}
+
+TEST(RunBudget, ScalingDownNeverUnbounds)
+{
+    RunBudget b;
+    b.wallClock = 50ms;
+    b.maxCandidates = 10;
+    // A factor below 1 shrinks a bound but must not reach 0, which
+    // means "unlimited": a retry would otherwise run without bounds.
+    for (const double factor : {0.0, -1.0}) {
+        const RunBudget s = b.scaled(factor);
+        EXPECT_GT(s.wallClock.count(), 0) << factor;
+        EXPECT_LE(s.wallClock, b.wallClock) << factor;
+        EXPECT_GE(s.maxCandidates, 1u) << factor;
+        EXPECT_LE(s.maxCandidates, b.maxCandidates) << factor;
+    }
 }
 
 TEST(RunBudget, ToStringMentionsBounds)
@@ -364,70 +381,28 @@ TEST(Status, StatusErrorIsAFatalError)
     EXPECT_THROW(throw ParseError("p", 1, 1, "t"), StatusError);
 }
 
-// Fault injection ----------------------------------------------------
+// Enum names -----------------------------------------------------------
 
-class FaultInjectTest : public ::testing::Test
+TEST(EnumNames, EveryNameHasAnInverse)
 {
-  protected:
-    void SetUp() override { faultinject::reset(); }
-    void TearDown() override { faultinject::reset(); }
-};
-
-TEST_F(FaultInjectTest, ArmFireDisarm)
-{
-    using faultinject::Point;
-    EXPECT_FALSE(faultinject::armed(Point::CatEval));
-    faultinject::arm(Point::CatEval);
-    EXPECT_TRUE(faultinject::armed(Point::CatEval));
-    // Other points stay disarmed.
-    EXPECT_FALSE(faultinject::armed(Point::LitmusParse));
-    faultinject::maybeFail(Point::LitmusParse, "noop");
-
-    try {
-        faultinject::maybeFail(Point::CatEval, "test-site");
-        FAIL() << "armed point did not fire";
-    } catch (const StatusError &e) {
-        EXPECT_EQ(e.status().code(), StatusCode::Internal);
-        EXPECT_NE(e.status().message().find("test-site"),
-                  std::string::npos);
+    for (int i = 0; i < kNumBoundKinds; ++i) {
+        const auto kind = static_cast<BoundKind>(i);
+        EXPECT_EQ(boundKindFromName(boundKindName(kind)), kind)
+            << boundKindName(kind);
     }
-    // One-shot: the point disarmed itself.
-    EXPECT_FALSE(faultinject::armed(Point::CatEval));
-    faultinject::maybeFail(Point::CatEval, "test-site");
-}
-
-TEST_F(FaultInjectTest, ArmFromSpec)
-{
-    faultinject::armFromSpec(" litmus-parse , enumerate ");
-    EXPECT_TRUE(faultinject::armed(faultinject::Point::LitmusParse));
-    EXPECT_TRUE(faultinject::armed(faultinject::Point::Enumerate));
-    EXPECT_FALSE(faultinject::armed(faultinject::Point::CatParse));
-
-    faultinject::reset();
-    EXPECT_FALSE(faultinject::armed(faultinject::Point::LitmusParse));
-    EXPECT_FALSE(faultinject::armed(faultinject::Point::Enumerate));
-}
-
-TEST_F(FaultInjectTest, UnknownSpecNameThrows)
-{
-    try {
-        faultinject::armFromSpec("litmus-parse,flux-capacitor");
-        FAIL() << "unknown point accepted";
-    } catch (const StatusError &e) {
-        EXPECT_EQ(e.status().code(), StatusCode::InvalidArgument);
+    for (int i = 0; i < kNumStatusCodes; ++i) {
+        const auto code = static_cast<StatusCode>(i);
+        EXPECT_EQ(statusCodeFromName(statusCodeName(code)), code)
+            << statusCodeName(code);
     }
-}
-
-TEST_F(FaultInjectTest, PointNamesRoundTrip)
-{
-    using faultinject::Point;
-    const Point points[] = {Point::LitmusParse, Point::CatParse,
-                            Point::CatEval, Point::Enumerate};
-    for (Point p : points) {
-        faultinject::armFromSpec(faultinject::pointName(p));
-        EXPECT_TRUE(faultinject::armed(p)) << faultinject::pointName(p);
-        faultinject::reset();
+    for (int i = 0; i < kNumVerdicts; ++i) {
+        const auto verdict = static_cast<Verdict>(i);
+        EXPECT_EQ(verdictFromName(verdictName(verdict)), verdict)
+            << verdictName(verdict);
     }
+    EXPECT_EQ(boundKindFromName("nope"), std::nullopt);
+    EXPECT_EQ(statusCodeFromName("nope"), std::nullopt);
+    EXPECT_EQ(verdictFromName("nope"), std::nullopt);
 }
 
 } // namespace

@@ -112,6 +112,30 @@ TEST_F(FaultPlanTest, OtherSitesDoNotAdvanceTheCounter)
     EXPECT_THROW(checkSite(site::kJournalCreate), StatusError);
 }
 
+TEST_F(FaultPlanTest, FilterGatesPlansAndTheirCounters)
+{
+    FaultPlan plan;
+    plan.site = site::kEnumerate;
+    plan.hit = 2;
+    setPlan(plan);
+    setFilter("X");
+
+    // Passages with another context, or none, neither fire nor count.
+    for (int i = 0; i < 3; ++i) {
+        checkSite(site::kEnumerate, "Y");
+        checkSite(site::kEnumerate);
+    }
+    EXPECT_EQ(planHits(), 0u);
+    EXPECT_FALSE(planFired());
+
+    checkSite(site::kEnumerate, "X"); // hit 1
+    EXPECT_FALSE(planFired());
+    checkSite(site::kEnumerate, "Y");
+    EXPECT_THROW(checkSite(site::kEnumerate, "X"), StatusError); // hit 2
+    EXPECT_TRUE(planFired());
+    EXPECT_EQ(planHits(), 2u);
+}
+
 TEST_F(FaultPlanTest, FiredFlagSurvivesClearPlan)
 {
     FaultPlan plan;

@@ -113,6 +113,36 @@ TEST(Subprocess, PartialOutputSurvivesTimeout)
     EXPECT_EQ(out.kind, ExitKind::TimedOut);
 }
 
+TEST(Subprocess, FullBufferThenHangStillTimesOut)
+{
+    // A child that writes exactly one parent read buffer (4 KiB) and
+    // then hangs.  After a read that fills its buffer the parent must
+    // read on without blocking, or it waits on the live child past the
+    // deadline.  The body writes to the channel itself, so this runs
+    // runIsolated's loop over a Child::spawn(body).
+    Limits limits;
+    limits.deadline = 200ms;
+    const std::string chunk(4096, 'x');
+    const auto start = std::chrono::steady_clock::now();
+    subprocess::Child child = subprocess::Child::spawn(
+        [&chunk](int channel) -> int {
+            if (::write(channel, chunk.data(), chunk.size()) !=
+                static_cast<ssize_t>(chunk.size()))
+                return 1;
+            struct timespec ts = {30, 0};
+            nanosleep(&ts, nullptr);
+            return 0;
+        },
+        limits);
+    const std::vector<subprocess::Child *> one{&child};
+    while (subprocess::waitAny(one).empty()) {
+    }
+    const Outcome out = child.finish();
+    EXPECT_LT(std::chrono::steady_clock::now() - start, 5s);
+    EXPECT_EQ(out.kind, ExitKind::TimedOut) << out.describe();
+    EXPECT_EQ(out.output, chunk);
+}
+
 TEST(Subprocess, CpuLimitKillsSpinningChild)
 {
     Limits limits;

@@ -2,7 +2,7 @@
  * @file
  * The differential oracles: agreement stays silent, seeded model
  * ablations diverge, RCU-unsound comparisons are skipped, and a side
- * that segfaults or hangs becomes a finding instead of killing the
+ * that crashes or hangs becomes a finding instead of killing the
  * campaign (the crash-isolation contract from the subprocess layer).
  */
 
@@ -120,7 +120,7 @@ TEST_F(OracleTest, MonotonicityHoldsOnCatalog)
 TEST_F(OracleTest, CrashingSideBecomesFinding)
 {
     const Program prog = mp();
-    faultinject::arm(faultinject::Point::CrashSegv);
+    faultinject::setPlan(faultinject::FaultPlan::parse("enumerate:1:crash"));
     faultinject::setFilter(prog.name);
 
     OracleOptions opts; // isolate = true: the sandbox must contain it
@@ -129,14 +129,15 @@ TEST_F(OracleTest, CrashingSideBecomesFinding)
     const auto finding = runOracle(oracles[0], prog, opts);
     ASSERT_TRUE(finding);
     EXPECT_EQ(finding->kind, "crash");
-    EXPECT_NE(finding->detail.find("SIGSEGV"), std::string::npos)
+    EXPECT_NE(finding->detail.find("native-lkmm:SIGKILL"),
+              std::string::npos)
         << finding->detail;
 }
 
 TEST_F(OracleTest, HangingSideBecomesTimeoutFinding)
 {
     const Program prog = mp();
-    faultinject::arm(faultinject::Point::Hang);
+    faultinject::setPlan(faultinject::FaultPlan::parse("enumerate:1:hang"));
     faultinject::setFilter(prog.name);
 
     OracleOptions opts;

@@ -205,11 +205,11 @@ TEST_F(BatchFaultTest, InjectedEnumeratorFaultIsIsolated)
     runner.add("SB", sb());
     runner.add("MP", mp());
 
-    faultinject::arm(faultinject::Point::Enumerate);
+    faultinject::setPlan(faultinject::FaultPlan::parse("enumerate:1:error"));
     BatchReport report = runner.run();
 
-    // The armed point fired once, in the first test's run stage;
-    // the injection is one-shot, so the rest of the sweep is clean.
+    // The plan fired once, in the first test's run stage; it is
+    // one-shot, so the rest of the sweep is clean.
     ASSERT_EQ(report.failures.size(), 1u);
     EXPECT_EQ(report.failures[0].test, "SB");
     EXPECT_EQ(report.failures[0].phase, "run");
@@ -229,7 +229,8 @@ TEST_F(BatchFaultTest, InjectedParserFaultIsIsolated)
                                     "exists (x=1)\n");
     runner.add("SB", sb());
 
-    faultinject::arm(faultinject::Point::LitmusParse);
+    faultinject::setPlan(
+        faultinject::FaultPlan::parse("litmus-parse:1:error"));
     BatchReport report = runner.run();
 
     ASSERT_EQ(report.failures.size(), 1u);

@@ -1,9 +1,10 @@
 /**
  * @file
  * The crash-isolated, resumable sweep engine: forked-mode crash and
- * deadline isolation (injected SIGSEGV/abort/hang), journal record
- * round trips, resume-after-kill equivalence with an uninterrupted
- * run, torn-tail recovery, and duplicate-name hardening.
+ * deadline isolation (a batch-item crash or hang plan, filtered to
+ * one test), journal record round trips, resume-after-kill
+ * equivalence with an uninterrupted run, torn-tail recovery, and
+ * duplicate-name hardening.
  */
 
 #include <gtest/gtest.h>
@@ -158,14 +159,14 @@ TEST_F(SweepTest, ForkedMatchesInProcessVerdicts)
 
 /**
  * The headline isolation property: one test of a 10-test forked
- * sweep segfaults; the other 9 complete with correct verdicts and
- * the crash becomes a structured record.
+ * sweep crashes; the other 9 complete with correct verdicts and the
+ * crash becomes a structured record.
  */
-TEST_F(SweepTest, ForkedSweepSurvivesInjectedSegv)
+TEST_F(SweepTest, ForkedSweepSurvivesInjectedCrash)
 {
     const std::vector<Program> tests = corpus();
     const std::string victim = tests[4].name;
-    faultinject::arm(faultinject::Point::CrashSegv);
+    faultinject::setPlan(faultinject::FaultPlan::parse("batch-item:1:crash"));
     faultinject::setFilter(victim);
 
     BatchOptions opts;
@@ -197,30 +198,11 @@ TEST_F(SweepTest, ForkedSweepSurvivesInjectedSegv)
     }
 }
 
-TEST_F(SweepTest, ForkedSweepSurvivesInjectedAbort)
-{
-    std::vector<Program> tests = {sb(), mp(), lb()};
-    faultinject::arm(faultinject::Point::CrashAbort);
-    faultinject::setFilter("MP");
-
-    BatchOptions opts;
-    opts.isolation = IsolationMode::Forked;
-    BatchRunner runner(model, opts);
-    for (const Program &p : tests)
-        runner.add(p.name, p);
-    BatchReport report = runner.run();
-
-    ASSERT_EQ(report.failures.size(), 1u);
-    EXPECT_EQ(report.failures[0].test, "MP");
-    EXPECT_EQ(report.failures[0].phase, "crash");
-    EXPECT_EQ(report.results.size(), 2u);
-}
-
 TEST_F(SweepTest, ForkedDeadlineOverrunBecomesTimeoutRecord)
 {
     std::vector<Program> tests = {sb(), mp(), lb(), sbMbs(), wrc()};
     const std::string victim = "LB";
-    faultinject::arm(faultinject::Point::Hang);
+    faultinject::setPlan(faultinject::FaultPlan::parse("batch-item:1:hang"));
     faultinject::setFilter(victim);
 
     BatchOptions opts;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Crash-only serving tests (serve/worker + serve/server worker tier):
- * a worker segv/hang mid-request costs exactly one sound
+ * a worker crash/hang mid-request costs exactly one sound
  * Unknown{worker-crash|worker-timeout} response while concurrent
  * clients get byte-identical answers; a repeat-offender fingerprint
  * is quarantined and refused fast with its recorded reason; kill -9
@@ -9,12 +9,13 @@
  * and a permanently-crashing input cannot turn the supervisor into a
  * fork bomb (respawn rate is capped by exponential backoff).
  *
- * The crash hooks are the legacy fault-injection points
- * (Point::CrashSegv/Hang) with the context filter pinned to the
- * poison test's name: armed state is inherited over fork, so every
- * worker — initial or respawned — crashes on exactly the poisoned
- * request and nothing else.  Arming therefore happens BEFORE the
- * Server is constructed (the initial workers fork in its ctor).
+ * The crash hooks are "enumerate" crash/hang fault plans with the
+ * context filter pinned to the poison test's name.  Only workers
+ * enumerate, so the daemon's copy of the plan never advances, and
+ * every worker — initial or respawned — inherits it fresh over fork
+ * and dies on exactly the poisoned request and nothing else.  The
+ * plan is therefore set BEFORE the Server is constructed (the
+ * initial workers fork in its ctor).
  *
  * Respawning forks from an already-threaded daemon, which TSan
  * forbids (fork-from-multithreaded deadlocks under its runtime), so
@@ -178,14 +179,14 @@ TEST(WorkerIsolation, WarmHitsNeverReachAWorker)
 
 #ifndef LKMM_TSAN
 
-TEST(WorkerIsolation, SegvMidRequestIsolatedToOneClient)
+TEST(WorkerIsolation, CrashMidRequestIsolatedToOneClient)
 {
     FaultGuard guard;
     faultinject::setFilter("POISON");
-    faultinject::arm(faultinject::Point::CrashSegv);
+    faultinject::setPlan(faultinject::FaultPlan::parse("enumerate:1:crash"));
 
     ServeOptions opts;
-    opts.socketPath = socketPath("segv");
+    opts.socketPath = socketPath("crash");
     opts.workers = 2;
     Server server(opts);
     server.start();
@@ -260,7 +261,7 @@ TEST(WorkerIsolation, HangMidRequestBecomesWorkerTimeout)
 {
     FaultGuard guard;
     faultinject::setFilter("POISON");
-    faultinject::arm(faultinject::Point::Hang);
+    faultinject::setPlan(faultinject::FaultPlan::parse("enumerate:1:hang"));
 
     ServeOptions opts;
     opts.socketPath = socketPath("hang");
@@ -325,7 +326,7 @@ TEST(WorkerQuarantine, RepeatOffenderRefusedFastWithReason)
 {
     FaultGuard guard;
     faultinject::setFilter("POISON");
-    faultinject::arm(faultinject::Point::CrashSegv);
+    faultinject::setPlan(faultinject::FaultPlan::parse("enumerate:1:crash"));
 
     ServeOptions opts;
     opts.socketPath = socketPath("quarantine");
@@ -368,7 +369,7 @@ TEST(WorkerBackoff, CrashLoopRespawnRateIsCapped)
 {
     FaultGuard guard;
     faultinject::setFilter("POISON");
-    faultinject::arm(faultinject::Point::CrashSegv);
+    faultinject::setPlan(faultinject::FaultPlan::parse("enumerate:1:crash"));
 
     ServeOptions opts;
     opts.socketPath = socketPath("backoff");

@@ -121,7 +121,7 @@ usage()
         "  --max-candidates N  per-test candidate cap\n"
         "  --max-rf N          per-test rf-assignment cap\n"
         "  --retries N         escalating-budget retries\n"
-        "  --escalation F      budget scale per retry (default 8)\n"
+        "  --escalation F      budget scale per retry, >= 1 (default 8)\n"
         "  --sweep-time-limit-ms N  whole-sweep wall-clock budget,\n"
         "                      shared by every worker\n"
         "  --sweep-max-candidates N  whole-sweep candidate cap\n"
@@ -269,7 +269,7 @@ main(int argc, char **argv)
                 opts.retry.budgetRetries =
                     static_cast<int>(parseCount(arg, next(), INT_MAX));
             else if (arg == "--escalation")
-                opts.retry.budgetEscalation = std::stod(next());
+                opts.retry.budgetEscalation = parseFactor(arg, next());
             else if (arg == "--summary")
                 summaryFormat = next();
             else if (arg == "--out")
