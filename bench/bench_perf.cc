@@ -211,6 +211,16 @@ BM_CatLkmmCheck(benchmark::State &state)
 }
 BENCHMARK(BM_CatLkmmCheck);
 
+/** Parse, lower and classify lkmm.cat: the load-time share of cat. */
+void
+BM_CatLoad(benchmark::State &state)
+{
+    const std::string path = std::string(LKMM_CAT_MODEL_DIR) + "/lkmm.cat";
+    for (auto _ : state)
+        benchmark::DoNotOptimize(CatModel::fromFile(path));
+}
+BENCHMARK(BM_CatLoad);
+
 void
 BM_PowerCheck(benchmark::State &state)
 {

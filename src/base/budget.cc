@@ -15,7 +15,6 @@ boundKindName(BoundKind kind)
       case BoundKind::WallClock: return "wall-clock";
       case BoundKind::Candidates: return "candidates";
       case BoundKind::RfAssignments: return "rf-assignments";
-      case BoundKind::EvalSteps: return "eval-steps";
       case BoundKind::Cancelled: return "cancelled";
       case BoundKind::SweepBudget: return "sweep-budget";
     }
@@ -78,7 +77,6 @@ RunBudget::scaled(double factor) const
     }
     b.maxCandidates = scaleCount(maxCandidates, factor);
     b.maxRfAssignments = scaleCount(maxRfAssignments, factor);
-    b.maxEvalSteps = scaleCount(maxEvalSteps, factor);
     return b;
 }
 
@@ -98,7 +96,6 @@ RunBudget::toString() const
     }
     s += " candidates=" + countToString(maxCandidates);
     s += " rf=" + countToString(maxRfAssignments);
-    s += " eval-steps=" + countToString(maxEvalSteps);
     if (cancel)
         s += " cancellable";
     if (shared)

@@ -70,13 +70,12 @@ enum class BoundKind
     WallClock,
     Candidates,
     RfAssignments,
-    EvalSteps,
     Cancelled,
     /** The sweep-wide shared tracker (not this run's own budget). */
     SweepBudget,
 };
 
-constexpr int kNumBoundKinds = 7;
+constexpr int kNumBoundKinds = 6;
 
 /** Short stable name, e.g. "wall-clock". */
 const char *boundKindName(BoundKind kind);
@@ -110,8 +109,6 @@ struct RunBudget
     std::size_t maxCandidates = 0;
     /** Maximum rf assignments explored (0 = unlimited). */
     std::size_t maxRfAssignments = 0;
-    /** Maximum cat-interpreter evaluation steps (0 = unlimited). */
-    std::size_t maxEvalSteps = 0;
     /** Optional cancellation token (not owned; may be null). */
     const CancelToken *cancel = nullptr;
     /**
@@ -128,8 +125,8 @@ struct RunBudget
     isUnlimited() const
     {
         return wallClock.count() == 0 && maxCandidates == 0 &&
-            maxRfAssignments == 0 && maxEvalSteps == 0 &&
-            cancel == nullptr && shared == nullptr;
+            maxRfAssignments == 0 && cancel == nullptr &&
+            shared == nullptr;
     }
 
     /**
@@ -178,14 +175,6 @@ class BudgetTracker
         return charge(candidates_, budget_.maxCandidates,
                       BoundKind::Candidates,
                       &BudgetTracker::onCandidate);
-    }
-
-    /** About to execute one more cat-interpreter step. */
-    bool
-    onEvalStep()
-    {
-        return charge(evalSteps_, budget_.maxEvalSteps,
-                      BoundKind::EvalSteps, &BudgetTracker::onEvalStep);
     }
 
     /**
@@ -260,7 +249,6 @@ class BudgetTracker
     bool hasDeadline_ = false;
     std::atomic<std::size_t> candidates_{0};
     std::atomic<std::size_t> rfAssignments_{0};
-    std::atomic<std::size_t> evalSteps_{0};
     std::atomic<std::size_t> sinceTimeCheck_{0};
     std::atomic<BoundKind> bound_{BoundKind::None};
 };

@@ -1,14 +1,15 @@
 /**
  * @file
- * Abstract syntax of the cat subset we interpret.
+ * Abstract syntax of the cat subset we accept.
  *
  * The cat language [Alglave-Cousot-Maranget 2016] defines
  * consistency models as relation definitions plus acyclicity /
  * irreflexivity / emptiness constraints.  The subset here covers
  * everything the paper's Figures 3, 8 and 12 need: let and
- * recursive let (with `and` for mutual recursion), unary functions,
+ * recursive let (with `and` for mutual recursion), functions,
  * the full relational algebra, set products and identity-on-set
- * brackets.
+ * brackets.  cat/lower.hh turns the tree into the program CatModel
+ * runs; node positions let it report errors at the offending token.
  */
 
 #ifndef LKMM_CAT_AST_HH
@@ -42,10 +43,15 @@ struct CatExpr
     };
 
     Kind kind;
-    std::string name;   ///< for Id and Call
+    std::string name;   ///< the identifier, or the operator's token
     std::vector<std::unique_ptr<CatExpr>> args;
+    /** 1-based position of the node's token (operator or name). */
+    int line = 0;
+    int col = 0;
+    /** Levels from this node down to its deepest leaf; see the parser. */
+    int height = 1;
 
-    explicit CatExpr(Kind k) : kind(k) {}
+    CatExpr(Kind k, int line, int col) : kind(k), line(line), col(col) {}
 };
 
 using CatExprPtr = std::unique_ptr<CatExpr>;
@@ -56,6 +62,8 @@ struct CatBinding
     std::string name;
     std::vector<std::string> params; ///< empty for plain definitions
     CatExprPtr body;
+    int line = 0; ///< position of the bound name
+    int col = 0;
 };
 
 /** A statement: a definition group or a constraint. */
@@ -73,7 +81,7 @@ struct CatStatement
     bool recursive = false;           ///< for Let
     std::vector<CatBinding> bindings; ///< for Let
     CatExprPtr constraint;            ///< for checks
-    std::string checkName;            ///< "... as name"
+    std::string checkName;            ///< "... as name", else the keyword
 };
 
 /** A parsed cat model. */

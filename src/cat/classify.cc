@@ -1,7 +1,6 @@
 #include "cat/classify.hh"
 
-#include <map>
-#include <string>
+#include <vector>
 
 namespace lkmm::cat
 {
@@ -9,7 +8,7 @@ namespace lkmm::cat
 namespace
 {
 
-/** Guarantee bits: proven subsets of an expression. */
+/** Guarantee bits: builtins an op's value provably contains. */
 enum : unsigned
 {
     G_POLOC = 1u << 0,
@@ -20,202 +19,99 @@ enum : unsigned
     G_ALL = G_POLOC | G_COM,
 };
 
-constexpr int MAX_DEPTH = 32;
-
-using Env = std::map<std::string, const CatExpr *>;
-
-/** Is this expression a bracket [S] with S one of the given names? */
+/** Is slot s a load of the builtin called name? */
 bool
-isBracketOf(const CatExpr &e, std::initializer_list<const char *> names)
+isLoad(const SlotProgram &p, Slot s, const char *name)
 {
-    if (e.kind != CatExpr::Kind::Bracket || e.args.size() != 1)
-        return false;
-    const CatExpr &s = *e.args[0];
-    if (s.kind != CatExpr::Kind::Id)
-        return false;
-    for (const char *n : names) {
-        if (s.name == n)
-            return true;
-    }
-    return false;
+    const Op &op = p.ops[s];
+    return op.kind == Op::Kind::Load && builtins()[op.aux].name == name;
 }
 
-/** Flatten a Seq chain into its operands, left to right. */
-void
-flattenSeq(const CatExpr &e, std::vector<const CatExpr *> &out)
-{
-    if (e.kind == CatExpr::Kind::Seq) {
-        for (const auto &a : e.args)
-            flattenSeq(*a, out);
-    } else {
-        out.push_back(&e);
-    }
-}
-
-unsigned
-guarantees(const CatExpr &e, const Env &env, int depth)
-{
-    if (depth > MAX_DEPTH)
-        return 0;
-    switch (e.kind) {
-      case CatExpr::Kind::Id: {
-        // po ⊇ po-loc makes acyclic(po | com)-style models
-        // classify too.
-        if (e.name == "po-loc" || e.name == "po")
-            return G_POLOC;
-        if (e.name == "com")
-            return G_COM;
-        if (e.name == "rf")
-            return G_RF;
-        if (e.name == "co")
-            return G_CO;
-        if (e.name == "fr")
-            return G_FR;
-        auto it = env.find(e.name);
-        if (it != env.end())
-            return guarantees(*it->second, env, depth + 1);
-        return 0;
-      }
-      case CatExpr::Kind::Union: {
-        unsigned g = 0;
-        for (const auto &a : e.args)
-            g |= guarantees(*a, env, depth + 1);
-        return g;
-      }
-      case CatExpr::Kind::Opt:
-      case CatExpr::Kind::Plus:
-      case CatExpr::Kind::Star:
-        // e?, e+, e* all contain e.
-        return e.args.empty()
-                   ? 0
-                   : guarantees(*e.args[0], env, depth + 1);
-      case CatExpr::Kind::Seq: {
-        // [M];x;[M] (with M or _ brackets) contains x ∩ (M × M),
-        // and every builtin we track relates memory events only.
-        std::vector<const CatExpr *> parts;
-        flattenSeq(e, parts);
-        const CatExpr *inner = nullptr;
-        for (const CatExpr *p : parts) {
-            if (isBracketOf(*p, {"M", "_"}))
-                continue;
-            if (inner != nullptr)
-                return 0;
-            inner = p;
-        }
-        if (inner == nullptr)
-            return 0;
-        return guarantees(*inner, env, depth + 1);
-      }
-      default:
-        // Inter, Diff, Compl, Inverse, Product, Bracket, Call:
-        // nothing provable without semantic reasoning.
-        return 0;
-    }
-}
-
-/** Resolve identifier chains through the environment. */
-const CatExpr *
-resolve(const CatExpr *e, const Env &env, int depth = 0)
-{
-    while (e != nullptr && e->kind == CatExpr::Kind::Id &&
-           depth < MAX_DEPTH) {
-        auto it = env.find(e->name);
-        if (it == env.end())
-            return e;
-        e = it->second;
-        ++depth;
-    }
-    return e;
-}
-
-bool isBuiltin(const CatExpr *e, const Env &env, const char *name);
-
-/** Does e denote `base & ext` (either order) or the builtin name? */
+/** Is slot s the bracket [M] or [_]? */
 bool
-isExternalOf(const CatExpr *e, const Env &env, const char *builtin,
+isMemBracket(const SlotProgram &p, Slot s)
+{
+    const Op &op = p.ops[s];
+    return op.kind == Op::Kind::Bracket &&
+           (isLoad(p, op.a, "M") || isLoad(p, op.a, "_"));
+}
+
+/** Does slot s denote the builtin `external` or `base & ext`? */
+bool
+isExternalOf(const SlotProgram &p, Slot s, const char *external,
              const char *base)
 {
-    e = resolve(e, env);
-    if (e == nullptr)
-        return false;
-    if (e->kind == CatExpr::Kind::Id)
-        return e->name == builtin;
-    if (e->kind == CatExpr::Kind::Inter && e->args.size() == 2) {
-        const CatExpr *a = e->args[0].get();
-        const CatExpr *b = e->args[1].get();
-        return (isBuiltin(a, env, base) && isBuiltin(b, env, "ext")) ||
-               (isBuiltin(b, env, base) && isBuiltin(a, env, "ext"));
-    }
-    return false;
+    const Op &op = p.ops[s];
+    return isLoad(p, s, external) ||
+           (op.kind == Op::Kind::Inter &&
+            ((isLoad(p, op.a, base) && isLoad(p, op.b, "ext")) ||
+             (isLoad(p, op.b, base) && isLoad(p, op.a, "ext"))));
 }
 
+/** Does slot s denote rmw & (fre ; coe), in either order of &? */
 bool
-isBuiltin(const CatExpr *e, const Env &env, const char *name)
+isAtomicity(const SlotProgram &p, Slot s)
 {
-    e = resolve(e, env);
-    return e != nullptr && e->kind == CatExpr::Kind::Id &&
-           e->name == name;
-}
-
-/** Does e match rmw & (fre ; coe)? */
-bool
-isAtomicityConstraint(const CatExpr *e, const Env &env)
-{
-    e = resolve(e, env);
-    if (e == nullptr || e->kind != CatExpr::Kind::Inter ||
-        e->args.size() != 2) {
-        return false;
-    }
-    auto isFreCoe = [&](const CatExpr *s) {
-        s = resolve(s, env);
-        if (s == nullptr || s->kind != CatExpr::Kind::Seq)
-            return false;
-        std::vector<const CatExpr *> parts;
-        flattenSeq(*s, parts);
-        return parts.size() == 2 &&
-               isExternalOf(parts[0], env, "fre", "fr") &&
-               isExternalOf(parts[1], env, "coe", "co");
+    const Op &op = p.ops[s];
+    auto isFreCoe = [&](Slot t) {
+        const Op &seq = p.ops[t];
+        return seq.kind == Op::Kind::Seq &&
+               isExternalOf(p, seq.a, "fre", "fr") &&
+               isExternalOf(p, seq.b, "coe", "co");
     };
-    const CatExpr *a = e->args[0].get();
-    const CatExpr *b = e->args[1].get();
-    return (isBuiltin(a, env, "rmw") && isFreCoe(b)) ||
-           (isBuiltin(b, env, "rmw") && isFreCoe(a));
+    return op.kind == Op::Kind::Inter &&
+           ((isLoad(p, op.a, "rmw") && isFreCoe(op.b)) ||
+            (isLoad(p, op.b, "rmw") && isFreCoe(op.a)));
 }
 
 } // namespace
 
 rel::SaturationSupport
-classifyAxioms(const CatFile &file)
+classifyAxioms(const SlotProgram &program)
 {
+    // po ⊇ po-loc makes acyclic(po | com)-style models classify too.
+    static const std::pair<const char *, unsigned> kLoads[] = {
+        {"po-loc", G_POLOC}, {"po", G_POLOC}, {"com", G_COM},
+        {"rf", G_RF},        {"co", G_CO},    {"fr", G_FR},
+    };
     rel::SaturationSupport support;
-    Env env;
-    for (const CatStatement &st : file.statements) {
-        switch (st.kind) {
-          case CatStatement::Kind::Let:
-            // Only plain, non-recursive definitions participate in
-            // resolution; parameterized or recursive ones are
-            // opaque (conservative).
-            if (!st.recursive) {
-                for (const CatBinding &b : st.bindings) {
-                    if (b.params.empty() && b.body)
-                        env[b.name] = b.body.get();
-                }
+    // Operands precede their op, so one forward pass suffices.
+    std::vector<unsigned> g(program.ops.size(), 0);
+    for (std::size_t i = 0; i < program.ops.size(); ++i) {
+        const Op &op = program.ops[i];
+        switch (op.kind) {
+          case Op::Kind::Load:
+            for (const auto &[name, bits] : kLoads) {
+                if (isLoad(program, i, name))
+                    g[i] = bits;
             }
             break;
-          case CatStatement::Kind::Acyclic:
-            if (st.constraint &&
-                (guarantees(*st.constraint, env, 0) & G_ALL) ==
-                    G_ALL) {
-                support.coherence = true;
-            }
+          case Op::Kind::Union:
+            g[i] = g[op.a] | g[op.b];
             break;
-          case CatStatement::Kind::Empty:
-            if (st.constraint &&
-                isAtomicityConstraint(st.constraint.get(), env)) {
-                support.atomicity = true;
-            }
+          case Op::Kind::Opt:
+          case Op::Kind::Plus:
+          case Op::Kind::Star:
+            g[i] = g[op.a];
             break;
-          case CatStatement::Kind::Irreflexive:
+          case Op::Kind::Seq:
+            // [M];x and x;[M] contain x ∩ (M × M), and every tracked
+            // builtin relates memory events only.
+            if (isMemBracket(program, op.a))
+                g[i] = g[op.b];
+            else if (isMemBracket(program, op.b))
+                g[i] = g[op.a];
+            break;
+          case Op::Kind::Acyclic:
+            support.coherence |= (g[op.a] & G_ALL) == G_ALL;
+            break;
+          case Op::Kind::Empty:
+            support.atomicity |= isAtomicity(program, op.a);
+            break;
+          default:
+            // Inter, Diff, Compl, Inverse, Product, Bracket, the
+            // builtin functions and recursion: nothing provable
+            // without semantic reasoning.
             break;
         }
     }

@@ -1,669 +1,277 @@
 #include "cat/eval.hh"
 
-#include "cat/classify.hh"
-
 #include <algorithm>
-#include <functional>
-#include <mutex>
-#include <vector>
+#include <tuple>
 
 #include "base/faultinject.hh"
-#include "base/logging.hh"
-#include "base/status.hh"
+#include "cat/classify.hh"
 #include "cat/parser.hh"
+#include "relation/kernels.hh"
 
 namespace lkmm
 {
 
 using cat::CatValue;
-using cat::CatExpr;
-using cat::CatStatement;
+using cat::Op;
+using cat::SlotProgram;
 
-namespace
+struct CatModel::Frame
 {
+    explicit Frame(const SlotProgram &p) : slots(p.ops.size()) {}
 
-// Memo stages: which witness a cat value transitively depends on.
-// A Static value is a function of the abstract execution only (po,
-// deps, annotation sets); an Rf value additionally of rf and the
-// resolved locations; a Co value of co — Co values are recomputed
-// for every candidate.  kNever marks statements that define
-// functions (no value to replay) .
-constexpr int kStageStatic = 0;
-constexpr int kStageRf = 1;
-constexpr int kStageCo = 2;
-constexpr int kNever = 3;
+    std::vector<CatValue> slots;
 
-int
-builtinStage(const std::string &name)
-{
-    static const std::map<std::string, int> stages = {
-        {"po", kStageStatic},       {"addr", kStageStatic},
-        {"data", kStageStatic},     {"ctrl", kStageStatic},
-        {"rmw", kStageStatic},      {"int", kStageStatic},
-        {"ext", kStageStatic},      {"id", kStageStatic},
-        {"crit", kStageStatic},     {"_", kStageStatic},
-        {"W", kStageStatic},        {"R", kStageStatic},
-        {"F", kStageStatic},        {"M", kStageStatic},
-        {"Once", kStageStatic},     {"Acquire", kStageStatic},
-        {"Release", kStageStatic},  {"Rmb", kStageStatic},
-        {"Wmb", kStageStatic},      {"Mb", kStageStatic},
-        {"Rb-dep", kStageStatic},   {"Rcu-lock", kStageStatic},
-        {"Rcu-unlock", kStageStatic}, {"Sync-rcu", kStageStatic},
-        {"rf", kStageRf},           {"rfi", kStageRf},
-        {"rfe", kStageRf},          {"loc", kStageRf},
-        {"po-loc", kStageRf},
-        {"co", kStageCo},           {"fr", kStageCo},
-        {"coi", kStageCo},          {"coe", kStageCo},
-        {"fri", kStageCo},          {"fre", kStageCo},
-        {"com", kStageCo},
-    };
-    auto it = stages.find(name);
-    return it == stages.end() ? -1 : it->second;
-}
+    // Static ops before staticUpTo hold their values for executions
+    // with these static inputs (the predefined sets, int, ext, id
+    // and crit are functions of them); Rf ops before rfUpTo also
+    // need this rf and these locations.
+    std::size_t staticUpTo = 0;
+    std::size_t rfUpTo = 0;
+    std::vector<std::tuple<EvKind, Ann, int>> events;
+    Relation po, addr, data, ctrl, rmw, rf;
+    std::vector<LocId> locs;
 
-/** Classifies top-level bindings by the builtins they reach. */
-class StageClassifier
-{
-  public:
-    /** Stage per statement; kNever when nothing can be replayed. */
-    std::vector<int>
-    classify(const cat::CatFile &file)
+    /** Drop the reuse that ex's inputs no longer match; key on ex. */
+    void
+    rekey(const CandidateExecution &ex)
     {
-        std::vector<int> out;
-        for (const CatStatement &st : file.statements) {
-            if (st.kind != CatStatement::Kind::Let) {
-                out.push_back(kNever);
-                continue;
-            }
-            bool all_values = true;
-            for (const auto &b : st.bindings)
-                all_values = all_values && b.params.empty();
-            if (!all_values) {
-                // Function definitions: record bodies for call-site
-                // classification; nothing to replay.
-                for (const auto &b : st.bindings) {
-                    if (!b.params.empty())
-                        funcs_[b.name] = &b;
-                }
-                out.push_back(kNever);
-                continue;
-            }
-            // Recursive groups: self-references don't raise the
-            // stage (the fixpoint is a function of the other
-            // relations referenced), so pre-bind the names Static.
-            if (st.recursive) {
-                for (const auto &b : st.bindings)
-                    lets_[b.name] = kStageStatic;
-            }
-            int stage = kStageStatic;
-            for (const auto &b : st.bindings)
-                stage = std::max(stage, exprStage(*b.body, {}));
-            for (const auto &b : st.bindings)
-                lets_[b.name] = stage;
-            out.push_back(stage);
+        const bool sameStatic =
+            events.size() == ex.events.size() &&
+            std::equal(events.begin(), events.end(), ex.events.begin(),
+                       [](const auto &k, const Event &e) {
+                           return k == std::tuple(e.kind, e.ann, e.tid);
+                       }) &&
+            po == ex.po && addr == ex.addr && data == ex.data &&
+            ctrl == ex.ctrl && rmw == ex.rmw;
+        if (!sameStatic) {
+            staticUpTo = 0;
+            events.clear();
+            for (const Event &e : ex.events)
+                events.emplace_back(e.kind, e.ann, e.tid);
+            po = ex.po;
+            addr = ex.addr;
+            data = ex.data;
+            ctrl = ex.ctrl;
+            rmw = ex.rmw;
+        } else if (rf == ex.rf &&
+                   std::equal(locs.begin(), locs.end(), ex.events.begin(),
+                              [](LocId l, const Event &e) {
+                                  return l == e.loc;
+                              })) {
+            return;
         }
-        return out;
-    }
-
-  private:
-    int
-    exprStage(const CatExpr &e, const std::vector<std::string> &params)
-    {
-        switch (e.kind) {
-          case CatExpr::Kind::Id: {
-            if (std::find(params.begin(), params.end(), e.name) !=
-                params.end()) {
-                return kStageStatic; // arg stage counted at the call
-            }
-            auto it = lets_.find(e.name);
-            if (it != lets_.end())
-                return it->second;
-            int b = builtinStage(e.name);
-            // Unknown identifier: be conservative, never memoize.
-            return b >= 0 ? b : kStageCo;
-          }
-          case CatExpr::Kind::Call: {
-            int stage = kStageStatic;
-            for (const auto &arg : e.args)
-                stage = std::max(stage, exprStage(*arg, params));
-            if (e.name == "fencerel" || e.name == "domain" ||
-                e.name == "range") {
-                return stage;
-            }
-            auto it = funcs_.find(e.name);
-            if (it == funcs_.end())
-                return kStageCo; // unknown function: conservative
-            return std::max(stage, exprStage(*it->second->body,
-                                             it->second->params));
-          }
-          default: {
-            int stage = kStageStatic;
-            for (const auto &arg : e.args)
-                stage = std::max(stage, exprStage(*arg, params));
-            return stage;
-          }
-        }
-    }
-
-    std::map<std::string, int> lets_;
-    std::map<std::string, const cat::CatBinding *> funcs_;
-};
-
-/** A user-defined cat function (closure over the environment). */
-struct CatFunction
-{
-    std::vector<std::string> params;
-    const CatExpr *body;
-};
-
-/** Replayable values per statement index. */
-using StmtValues = std::map<std::size_t, std::vector<CatValue>>;
-
-class Evaluator
-{
-  public:
-    Evaluator(const CandidateExecution &ex, std::size_t maxSteps = 0)
-        : ex_(ex), n_(ex.numEvents()), maxSteps_(maxSteps)
-    {
-        installBuiltins();
+        rfUpTo = 0;
+        locs.clear();
+        for (const Event &e : ex.events)
+            locs.push_back(e.loc);
+        rf = ex.rf;
     }
 
     /**
-     * Memoization hooks: `seed` maps statement indices to the values
-     * their bindings had for an execution with identical inputs —
-     * those statements are replayed instead of evaluated; freshly
-     * evaluated statements whose stage is `collectStage` or below
-     * get their values recorded in collected() for the next seed.
+     * Run the program over ex, skipping the ops whose inputs still
+     * match.  With stopAtViolation the run ends at the first failing
+     * check, and the ops after it are not reused until computed.
+     */
+    std::optional<Violation>
+    run(const SlotProgram &p, const CandidateExecution &ex,
+        bool stopAtViolation)
+    {
+        rekey(ex);
+        std::optional<Violation> first;
+        std::size_t i = 0;
+        for (; i < p.ops.size() && !(first && stopAtViolation); ++i) {
+            const cat::Stage stage = p.ops[i].stage;
+            if ((stage == cat::Stage::Static && i < staticUpTo) ||
+                (stage == cat::Stage::Rf && i < rfUpTo)) {
+                continue;
+            }
+            std::optional<Violation> v = exec(p, ex, i);
+            if (v && !first)
+                first = std::move(v);
+        }
+        staticUpTo = std::max(staticUpTo, i);
+        rfUpTo = std::max(rfUpTo, i);
+        return first;
+    }
+
+    std::optional<Violation>
+    exec(const SlotProgram &p, const CandidateExecution &ex,
+         std::size_t i)
+    {
+        const Op &op = p.ops[i];
+        const std::size_t n = ex.numEvents();
+        CatValue &d = slots[i];
+        d.kind = op.isSet ? CatValue::Kind::Set : CatValue::Kind::Rel;
+        if (!op.isSet && d.rel.size() != n)
+            d.rel = Relation(n);
+        Relation &r = d.rel;
+        const CatValue &a = slots[op.a];
+        const CatValue &b = slots[op.b];
+        switch (op.kind) {
+          case Op::Kind::Load:
+            cat::builtins()[op.aux].load(ex, d);
+            break;
+          case Op::Kind::Union:
+            if (op.isSet)
+                d.set = a.set | b.set;
+            else
+                rel::unionInto(r, a.rel, b.rel);
+            break;
+          case Op::Kind::Inter:
+            if (op.isSet)
+                d.set = a.set & b.set;
+            else
+                rel::intersectInto(r, a.rel, b.rel);
+            break;
+          case Op::Kind::Diff:
+            if (op.isSet)
+                d.set = a.set - b.set;
+            else
+                rel::differenceInto(r, a.rel, b.rel);
+            break;
+          case Op::Kind::Compl:
+            if (op.isSet)
+                d.set = ~a.set;
+            else
+                rel::complementInto(r, a.rel);
+            break;
+          case Op::Kind::Seq:
+            rel::composeInto(r, a.rel, b.rel);
+            break;
+          case Op::Kind::Product:
+            r = Relation::product(a.set, b.set);
+            break;
+          case Op::Kind::Inverse:
+            rel::inverseInto(r, a.rel);
+            break;
+          case Op::Kind::Opt:
+          case Op::Kind::Plus:
+          case Op::Kind::Star:
+            rel::copyInto(r, a.rel);
+            if (op.kind != Op::Kind::Opt)
+                rel::closureInPlace(r);
+            for (EventId e = 0; op.kind != Op::Kind::Plus && e < n; ++e)
+                r.add(e, e);
+            break;
+          case Op::Kind::Bracket:
+            rel::clear(r);
+            for (EventId e : a.set.members())
+                r.add(e, e);
+            break;
+          case Op::Kind::Fencerel: // (po & (_ * S)) ; po
+            rel::composeInto(r, ex.po.restrictRange(a.set), ex.po);
+            break;
+          case Op::Kind::Domain:
+          case Op::Kind::Range:
+            d.set = op.kind == Op::Kind::Domain ? a.rel.domain()
+                                                : a.rel.range();
+            break;
+          case Op::Kind::RecVar:
+            rel::clear(r);
+            break;
+          case Op::Kind::Fixpoint:
+            fixpoint(p, ex, i);
+            break;
+          case Op::Kind::Acyclic:
+            return requireAcyclic(a.rel, p.checkNames[op.aux]);
+          case Op::Kind::Irreflexive:
+            return requireIrreflexive(a.rel, p.checkNames[op.aux]);
+          case Op::Kind::Empty:
+            return requireEmpty(a.rel, p.checkNames[op.aux]);
+        }
+        return std::nullopt;
+    }
+
+    /**
+     * The group's bodies have run once from empty RecVars; feed each
+     * body back into its name and rerun them until nothing changes.
+     * Only monotone operators reach a RecVar (cat/lower.hh), so the
+     * values only grow: at most n^2 rounds per name.
      */
     void
-    enableMemo(const StmtValues *seed, const std::vector<int> *stages,
-               int collectStage)
+    fixpoint(const SlotProgram &p, const CandidateExecution &ex,
+             std::size_t at)
     {
-        seed_ = seed;
-        stages_ = stages;
-        collectStage_ = collectStage;
-    }
-
-    const StmtValues &collected() const { return collected_; }
-
-    /** Run one statement; returns a violation for failed checks. */
-    std::optional<Violation>
-    run(const CatStatement &st, std::size_t idx)
-    {
-        switch (st.kind) {
-          case CatStatement::Kind::Let: {
-            if (seed_) {
-                auto it = seed_->find(idx);
-                if (it != seed_->end()) {
-                    for (std::size_t b = 0; b < st.bindings.size(); ++b)
-                        env_[st.bindings[b].name] = it->second[b];
-                    return std::nullopt;
-                }
-            }
-            define(st);
-            if (stages_ && (*stages_)[idx] <= collectStage_) {
-                std::vector<CatValue> vals;
-                vals.reserve(st.bindings.size());
-                for (const auto &b : st.bindings)
-                    vals.push_back(env_[b.name]);
-                collected_.emplace(idx, std::move(vals));
-            }
-            return std::nullopt;
-          }
-          case CatStatement::Kind::Acyclic:
-            return requireAcyclic(relOf(eval(*st.constraint)),
-                                  st.checkName.empty() ? "acyclic"
-                                                       : st.checkName);
-          case CatStatement::Kind::Irreflexive:
-            return requireIrreflexive(relOf(eval(*st.constraint)),
-                                      st.checkName.empty()
-                                          ? "irreflexive"
-                                          : st.checkName);
-          case CatStatement::Kind::Empty:
-            return requireEmpty(relOf(eval(*st.constraint)),
-                                st.checkName.empty() ? "empty"
-                                                     : st.checkName);
-        }
-        panic("unhandled cat statement");
-    }
-
-    const std::map<std::string, CatValue> &env() const { return env_; }
-
-  private:
-    void
-    define(const CatStatement &st)
-    {
-        if (!st.recursive) {
-            for (const auto &binding : st.bindings) {
-                if (!binding.params.empty()) {
-                    funcs_[binding.name] =
-                        CatFunction{binding.params, binding.body.get()};
-                } else {
-                    env_[binding.name] = eval(*binding.body);
-                }
-            }
-            return;
-        }
-
-        // Recursive definitions: joint least fixpoint from empty
-        // relations, iterating all bindings until stable.
-        for (const auto &binding : st.bindings) {
-            panicIf(!binding.params.empty(),
-                    "recursive cat functions are not supported");
-            env_[binding.name] = CatValue::ofRel(Relation(n_));
-        }
+        const std::vector<cat::Slot> &results = p.groups[p.ops[at].aux];
+        const std::size_t vars = p.ops[at].a;
         for (;;) {
-            if (!stepOk()) {
-                stepOverflow("recursive definition of '" +
-                             st.bindings[0].name + "'");
-            }
             bool changed = false;
-            for (const auto &binding : st.bindings) {
-                CatValue next = eval(*binding.body);
-                panicIf(next.kind != CatValue::Kind::Rel,
-                        "recursive cat sets are not supported");
-                if (!(next.rel == env_[binding.name].rel)) {
-                    env_[binding.name] = std::move(next);
+            for (std::size_t k = 0; k < results.size(); ++k) {
+                Relation &var = slots[vars + k].rel;
+                if (!(var == slots[results[k]].rel)) {
+                    rel::copyInto(var, slots[results[k]].rel);
                     changed = true;
                 }
             }
             if (!changed)
                 return;
+            for (std::size_t i = vars + results.size(); i < at; ++i)
+                exec(p, ex, i);
         }
     }
-
-    static Relation
-    relOf(const CatValue &v)
-    {
-        panicIf(v.kind != CatValue::Kind::Rel,
-                "cat: expected a relation, got a set");
-        return v.rel;
-    }
-
-    static EventSet
-    setOf(const CatValue &v)
-    {
-        panicIf(v.kind != CatValue::Kind::Set,
-                "cat: expected a set, got a relation");
-        return v.set;
-    }
-
-    Relation
-    identityOn(const EventSet &s) const
-    {
-        Relation r(n_);
-        for (EventId e : s.members())
-            r.add(e, e);
-        return r;
-    }
-
-    /**
-     * Account one interpreter step against the eval budget
-     * (CatModel::setEvalBudget); the check is one compare on the
-     * unbudgeted fast path.
-     */
-    bool
-    stepOk()
-    {
-        return !maxSteps_ || ++steps_ <= maxSteps_;
-    }
-
-    [[noreturn]] void
-    stepOverflow(const std::string &what)
-    {
-        throw StatusError(Status(
-            StatusCode::BudgetExceeded,
-            "cat eval budget (" + std::to_string(maxSteps_) +
-                " steps) exceeded while evaluating " + what));
-    }
-
-    CatValue
-    eval(const CatExpr &e)
-    {
-        if (!stepOk()) {
-            stepOverflow(e.kind == CatExpr::Kind::Id
-                             ? "'" + e.name + "'" : "an expression");
-        }
-        switch (e.kind) {
-          case CatExpr::Kind::Id: {
-            auto it = env_.find(e.name);
-            if (it == env_.end()) {
-                throw StatusError(Status(
-                    StatusCode::EvalError,
-                    "cat: undefined identifier '" + e.name + "'"));
-            }
-            return it->second;
-          }
-          case CatExpr::Kind::Union: {
-            CatValue a = eval(*e.args[0]);
-            CatValue b = eval(*e.args[1]);
-            if (a.kind == CatValue::Kind::Set &&
-                b.kind == CatValue::Kind::Set) {
-                return CatValue::ofSet(a.set | b.set);
-            }
-            return CatValue::ofRel(relOf(a) | relOf(b));
-          }
-          case CatExpr::Kind::Inter: {
-            CatValue a = eval(*e.args[0]);
-            CatValue b = eval(*e.args[1]);
-            if (a.kind == CatValue::Kind::Set &&
-                b.kind == CatValue::Kind::Set) {
-                return CatValue::ofSet(a.set & b.set);
-            }
-            return CatValue::ofRel(relOf(a) & relOf(b));
-          }
-          case CatExpr::Kind::Diff: {
-            CatValue a = eval(*e.args[0]);
-            CatValue b = eval(*e.args[1]);
-            if (a.kind == CatValue::Kind::Set &&
-                b.kind == CatValue::Kind::Set) {
-                return CatValue::ofSet(a.set - b.set);
-            }
-            return CatValue::ofRel(relOf(a) - relOf(b));
-          }
-          case CatExpr::Kind::Seq:
-            return CatValue::ofRel(
-                relOf(eval(*e.args[0])).seq(relOf(eval(*e.args[1]))));
-          case CatExpr::Kind::Product:
-            return CatValue::ofRel(Relation::product(
-                setOf(eval(*e.args[0])), setOf(eval(*e.args[1]))));
-          case CatExpr::Kind::Compl: {
-            CatValue a = eval(*e.args[0]);
-            if (a.kind == CatValue::Kind::Set)
-                return CatValue::ofSet(~a.set);
-            return CatValue::ofRel(~a.rel);
-          }
-          case CatExpr::Kind::Inverse:
-            return CatValue::ofRel(relOf(eval(*e.args[0])).inverse());
-          case CatExpr::Kind::Opt:
-            return CatValue::ofRel(relOf(eval(*e.args[0])).opt());
-          case CatExpr::Kind::Plus:
-            return CatValue::ofRel(relOf(eval(*e.args[0])).plus());
-          case CatExpr::Kind::Star:
-            return CatValue::ofRel(relOf(eval(*e.args[0])).star());
-          case CatExpr::Kind::Bracket:
-            return CatValue::ofRel(identityOn(setOf(eval(*e.args[0]))));
-          case CatExpr::Kind::Call:
-            return call(e);
-        }
-        panic("unhandled cat expression");
-    }
-
-    CatValue
-    call(const CatExpr &e)
-    {
-        // Builtins first.
-        if (e.name == "fencerel") {
-            // fencerel(S) = (po & (_ * S)); po
-            const EventSet s = setOf(eval(*e.args[0]));
-            return CatValue::ofRel(ex_.po.restrictRange(s).seq(ex_.po));
-        }
-        if (e.name == "domain")
-            return CatValue::ofSet(relOf(eval(*e.args[0])).domain());
-        if (e.name == "range")
-            return CatValue::ofSet(relOf(eval(*e.args[0])).range());
-
-        auto it = funcs_.find(e.name);
-        if (it == funcs_.end()) {
-            throw StatusError(Status(
-                StatusCode::EvalError,
-                "cat: undefined function '" + e.name + "'"));
-        }
-        const CatFunction &fn = it->second;
-        panicIf(fn.params.size() != e.args.size(),
-                "cat: wrong arity for '" + e.name + "'");
-
-        // Bind arguments over the current environment (dynamic
-        // scoping, like herd's cat interpreter for simple models).
-        std::vector<std::pair<std::string, std::optional<CatValue>>> saved;
-        for (std::size_t i = 0; i < fn.params.size(); ++i) {
-            auto old = env_.find(fn.params[i]);
-            saved.emplace_back(fn.params[i],
-                               old == env_.end()
-                                   ? std::nullopt
-                                   : std::optional<CatValue>(old->second));
-            env_[fn.params[i]] = eval(*e.args[i]);
-        }
-        CatValue result = eval(*fn.body);
-        for (auto &[name, old] : saved) {
-            if (old)
-                env_[name] = *old;
-            else
-                env_.erase(name);
-        }
-        return result;
-    }
-
-    void
-    installBuiltins()
-    {
-        auto rel = [&](const std::string &name, const Relation &r) {
-            env_[name] = CatValue::ofRel(r);
-        };
-        auto set = [&](const std::string &name, const EventSet &s) {
-            env_[name] = CatValue::ofSet(s);
-        };
-
-        rel("po", ex_.po);
-        rel("addr", ex_.addr);
-        rel("data", ex_.data);
-        rel("ctrl", ex_.ctrl);
-        rel("rmw", ex_.rmw);
-        rel("rf", ex_.rf);
-        rel("co", ex_.co);
-        rel("fr", ex_.fr());
-        rel("rfi", ex_.rfi());
-        rel("rfe", ex_.rfe());
-        rel("coi", ex_.coi());
-        rel("coe", ex_.coe());
-        rel("fri", ex_.fri());
-        rel("fre", ex_.fre());
-        rel("po-loc", ex_.poLoc());
-        rel("com", ex_.com());
-        rel("loc", ex_.locRel());
-        rel("int", ex_.intRel());
-        rel("ext", ex_.extRel());
-        rel("id", Relation::identity(n_));
-        rel("crit", ex_.crit());
-
-        set("_", ex_.all());
-        set("W", ex_.writes());
-        set("R", ex_.reads());
-        set("F", ex_.fences());
-        set("M", ex_.mem());
-        set("Once", ex_.withAnn(Ann::Once));
-        set("Acquire", ex_.withAnn(Ann::Acquire));
-        set("Release", ex_.withAnn(Ann::Release));
-        set("Rmb", ex_.withAnn(Ann::Rmb));
-        set("Wmb", ex_.withAnn(Ann::Wmb));
-        set("Mb", ex_.withAnn(Ann::Mb));
-        set("Rb-dep", ex_.withAnn(Ann::RbDep));
-        set("Rcu-lock", ex_.withAnn(Ann::RcuLock));
-        set("Rcu-unlock", ex_.withAnn(Ann::RcuUnlock));
-        set("Sync-rcu", ex_.withAnn(Ann::SyncRcu));
-    }
-
-    const CandidateExecution &ex_;
-    const std::size_t n_;
-    const std::size_t maxSteps_;
-    std::size_t steps_ = 0;
-    std::map<std::string, CatValue> env_;
-    std::map<std::string, CatFunction> funcs_;
-
-    const StmtValues *seed_ = nullptr;
-    const std::vector<int> *stages_ = nullptr;
-    int collectStage_ = -1;
-    StmtValues collected_;
 };
 
-} // namespace
+CatModel::CatModel(const cat::CatFile &file,
+                   const std::string &fallbackName)
+    : name_(file.modelName.empty() ? fallbackName : file.modelName),
+      program_(std::make_shared<const SlotProgram>(cat::lower(file))),
+      support_(cat::classifyAxioms(*program_))
+{}
 
-/** See the declaration in eval.hh for the caching discipline. */
-struct CatModel::Memo
-{
-    std::mutex mutex;
+CatModel::CatModel(const CatModel &other)
+    : name_(other.name_), program_(other.program_),
+      support_(other.support_)
+{}
 
-    bool classified = false;
-    std::vector<int> stages; ///< per statement
-
-    // Static layer: valid for executions matching this abstract
-    // execution (event kinds/annotations/threads + po and the
-    // dependency relations; the predefined sets and crit are
-    // functions of these).
-    bool staticValid = false;
-    std::vector<int> evKey; ///< packed (kind, ann, tid) per event
-    Relation po, addr, data, ctrl, rmw;
-    StmtValues staticVals;
-
-    // Rf layer: additionally needs rf and the resolved locations.
-    bool rfValid = false;
-    std::vector<LocId> locKey;
-    Relation rf;
-    StmtValues rfVals;
-
-    static std::vector<int>
-    eventKey(const CandidateExecution &ex)
-    {
-        std::vector<int> key;
-        key.reserve(ex.events.size());
-        for (const Event &e : ex.events) {
-            key.push_back((static_cast<int>(e.kind) << 16) |
-                          (static_cast<int>(e.ann) << 8) |
-                          (e.tid & 0xff));
-        }
-        return key;
-    }
-
-    bool
-    staticMatches(const CandidateExecution &ex) const
-    {
-        return staticValid && evKey == eventKey(ex) && po == ex.po &&
-               addr == ex.addr && data == ex.data && ctrl == ex.ctrl &&
-               rmw == ex.rmw;
-    }
-
-    bool
-    rfMatches(const CandidateExecution &ex) const
-    {
-        if (!rfValid || !(rf == ex.rf))
-            return false;
-        if (locKey.size() != ex.events.size())
-            return false;
-        for (std::size_t i = 0; i < locKey.size(); ++i) {
-            if (locKey[i] != ex.events[i].loc)
-                return false;
-        }
-        return true;
-    }
-};
+CatModel::~CatModel() = default;
 
 CatModel
 CatModel::fromSource(const std::string &source, const std::string &name)
 {
-    CatModel m;
-    m.file_ = cat::parseCat(source);
-    m.name_ = m.file_.modelName.empty() ? name : m.file_.modelName;
-    m.support_ = cat::classifyAxioms(m.file_);
-    m.memo_ = std::make_shared<Memo>();
-    return m;
+    return CatModel(cat::parseCat(source), name);
 }
 
 CatModel
 CatModel::fromFile(const std::string &path)
 {
-    CatModel m;
-    m.file_ = cat::parseCatFile(path);
-    m.name_ = m.file_.modelName.empty() ? path : m.file_.modelName;
-    m.support_ = cat::classifyAxioms(m.file_);
-    m.memo_ = std::make_shared<Memo>();
-    return m;
+    return CatModel(cat::parseCatFile(path), path);
 }
 
 std::optional<Violation>
 CatModel::check(const CandidateExecution &ex) const
 {
     faultinject::checkSite(faultinject::site::kCatEval, name_.c_str());
-    Evaluator evaluator(ex, maxEvalSteps_);
-
-    // Pull replayable values out of the memo.  The seed is copied
-    // under the lock so concurrent checks on a shared model never
-    // race with a layer being replaced mid-evaluation.
-    Memo &memo = *memo_;
-    StmtValues seed;
-    bool static_hit = false;
-    bool rf_hit = false;
-    std::vector<int> stages;
+    std::unique_ptr<Frame> frame;
     {
-        std::lock_guard<std::mutex> lock(memo.mutex);
-        if (!memo.classified) {
-            memo.stages = StageClassifier().classify(file_);
-            memo.classified = true;
-        }
-        stages = memo.stages;
-        static_hit = memo.staticMatches(ex);
-        rf_hit = static_hit && memo.rfMatches(ex);
-        if (static_hit)
-            seed = memo.staticVals;
-        if (rf_hit) {
-            for (const auto &[idx, vals] : memo.rfVals)
-                seed.emplace(idx, vals);
+        std::lock_guard<std::mutex> lock(poolMutex_);
+        if (!pool_.empty()) {
+            frame = std::move(pool_.back());
+            pool_.pop_back();
         }
     }
-    // Nothing left to collect on a full hit; otherwise record both
-    // layers (seeded statements are skipped, so a static hit only
-    // re-collects the rf-stage statements).
-    evaluator.enableMemo(&seed, &stages, rf_hit ? -1 : kStageRf);
-
-    std::optional<Violation> violation;
-    for (std::size_t i = 0; i < file_.statements.size(); ++i) {
-        if ((violation = evaluator.run(file_.statements[i], i)))
-            break;
-    }
-
-    // Store what was freshly computed, even when a check failed
-    // early: the seed map is per-statement, so a partial layer still
-    // short-circuits exactly the statements it holds.
-    {
-        std::lock_guard<std::mutex> lock(memo.mutex);
-        if (!static_hit) {
-            memo.staticValid = true;
-            memo.rfValid = false;
-            memo.evKey = Memo::eventKey(ex);
-            memo.po = ex.po;
-            memo.addr = ex.addr;
-            memo.data = ex.data;
-            memo.ctrl = ex.ctrl;
-            memo.rmw = ex.rmw;
-            memo.staticVals.clear();
-            memo.rfVals.clear();
-            for (const auto &[idx, vals] : evaluator.collected()) {
-                if (stages[idx] == kStageStatic)
-                    memo.staticVals.emplace(idx, vals);
-            }
-        }
-        if (!rf_hit && memo.staticMatches(ex)) {
-            memo.rfValid = true;
-            memo.rf = ex.rf;
-            memo.locKey.clear();
-            for (const Event &e : ex.events)
-                memo.locKey.push_back(e.loc);
-            memo.rfVals.clear();
-            for (const auto &[idx, vals] : evaluator.collected()) {
-                if (stages[idx] == kStageRf)
-                    memo.rfVals.emplace(idx, vals);
-            }
-        }
-    }
+    if (!frame)
+        frame = std::make_unique<Frame>(*program_);
+    // A throw drops the frame with its half-written slots.
+    std::optional<Violation> violation = frame->run(*program_, ex, true);
+    std::lock_guard<std::mutex> lock(poolMutex_);
+    pool_.push_back(std::move(frame));
     return violation;
 }
 
 std::map<std::string, CatValue>
 CatModel::evalBindings(const CandidateExecution &ex) const
 {
-    Evaluator evaluator(ex, maxEvalSteps_);
-    for (std::size_t i = 0; i < file_.statements.size(); ++i)
-        evaluator.run(file_.statements[i], i);
-    return evaluator.env();
+    Frame frame(*program_);
+    frame.run(*program_, ex, false);
+    std::map<std::string, CatValue> env;
+    for (const cat::Builtin &b : cat::builtins()) {
+        CatValue &v = env[std::string(b.name)];
+        v.kind = b.isSet ? CatValue::Kind::Set : CatValue::Kind::Rel;
+        b.load(ex, v);
+    }
+    for (const auto &[name, slot] : program_->bindings)
+        env[name] = frame.slots[slot];
+    return env;
 }
 
 } // namespace lkmm

@@ -3,10 +3,13 @@
  * Evaluation of cat models against candidate executions — the herd
  * side of "formal executable model".
  *
- * CatModel implements the Model interface: parse once, then
- * evaluate the statements against each execution.  The predefined
- * environment provides the cat builtins (po, rf, co, fr, loc, int,
- * ext, id, W, R, F, M, _, rfi/rfe/..., po-loc, com) plus the
+ * CatModel implements the Model interface.  Loading parses the file
+ * and lowers it once (cat/lower.hh) into a slot program whose names
+ * are resolved, functions expanded, kinds checked and recursion
+ * proven to terminate, so a bad model fails at load with a
+ * ParseError.  check() then runs that program per candidate.  The
+ * predefined scope provides the cat builtins (po, rf, co, fr, loc,
+ * int, ext, id, W, R, F, M, _, rfi/rfe/..., po-loc, com) plus the
  * LK-specific annotation sets of Tables 3 and 4 (Once, Acquire,
  * Release, Rmb, Wmb, Mb, Rb-dep, Rcu-lock, Rcu-unlock, Sync-rcu)
  * and the crit relation.  Builtin functions: fencerel(S),
@@ -18,50 +21,15 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <vector>
 
-#include "cat/ast.hh"
+#include "cat/lower.hh"
 #include "model/model.hh"
 
 namespace lkmm
 {
-
-namespace cat
-{
-
-/** A cat value: a set of events or a relation. */
-struct CatValue
-{
-    enum class Kind
-    {
-        Set,
-        Rel,
-    };
-
-    Kind kind = Kind::Rel;
-    EventSet set;
-    Relation rel;
-
-    static CatValue
-    ofSet(EventSet s)
-    {
-        CatValue v;
-        v.kind = Kind::Set;
-        v.set = std::move(s);
-        return v;
-    }
-
-    static CatValue
-    ofRel(Relation r)
-    {
-        CatValue v;
-        v.kind = Kind::Rel;
-        v.rel = std::move(r);
-        return v;
-    }
-};
-
-} // namespace cat
 
 /** A consistency model loaded from a cat file. */
 class CatModel : public Model
@@ -74,24 +42,18 @@ class CatModel : public Model
     /** Load from a file on disk. */
     static CatModel fromFile(const std::string &path);
 
-    std::string name() const override { return name_; }
+    /** Shares the immutable program; starts with no frames. */
+    CatModel(const CatModel &other);
+    CatModel &operator=(const CatModel &) = delete;
+    ~CatModel() override;
 
-    /**
-     * Bound the interpreter: at most maxSteps evaluation steps
-     * (expression-node evaluations plus recursion-fixpoint
-     * iterations) per check()/evalBindings() call.  Exceeding the
-     * bound throws StatusError(StatusCode::BudgetExceeded) — a
-     * guard against pathological or adversarial cat input, not a
-     * graceful degradation: a partly-evaluated model has no sound
-     * partial verdict.  0 (the default) means unlimited.
-     */
-    void setEvalBudget(std::size_t maxSteps) { maxEvalSteps_ = maxSteps; }
+    std::string name() const override { return name_; }
 
     std::optional<Violation>
     check(const CandidateExecution &ex) const override;
 
     /**
-     * Derived syntactically from the statements at load time
+     * Derived from the lowered program at load time
      * (cat/classify.hh): conservative, so hand-written cat input
      * only ever loses rf-first pruning, never soundness.
      */
@@ -103,36 +65,38 @@ class CatModel : public Model
 
     /**
      * Evaluate all definitions and return the final environment —
-     * used by tests to compare individual cat relations against the
-     * native C++ ones.
+     * every builtin and every top-level binding by name.  Used by
+     * tests to compare individual cat relations against the native
+     * C++ ones.
      */
     std::map<std::string, cat::CatValue>
     evalBindings(const CandidateExecution &ex) const;
 
   private:
-    CatModel() = default;
+    CatModel(const cat::CatFile &file, const std::string &fallbackName);
+
+    /**
+     * The slot values of one run of the program, kept across
+     * check() calls.  The enumerator delivers candidates grouped by
+     * path combo and, within a combo, by rf assignment, so a frame
+     * reuses its Static ops while the execution's static inputs
+     * match the ones it last saw, and its Rf ops while rf and the
+     * locations match too.  Matching compares the inputs directly,
+     * never a hash: a collision would silently change a verdict.
+     */
+    struct Frame;
 
     std::string name_;
-    cat::CatFile file_;
-    std::size_t maxEvalSteps_ = 0;
+    std::shared_ptr<const cat::SlotProgram> program_;
     rel::SaturationSupport support_;
 
     /**
-     * Derived-relation memo across consecutive check() calls.
-     *
-     * Top-level let bindings are classified by the builtins they
-     * transitively reference: Static (po/deps/sets only), Rf
-     * (additionally rf/loc) or Co (co/fr — never memoized).  The
-     * enumerator delivers candidates grouped by path combo and,
-     * within a combo, by rf assignment, so Static values repeat
-     * across a whole combo and Rf values across each rf's co block;
-     * the memo replays them instead of re-evaluating the let bodies.
-     * Hits are validated by directly comparing the underlying
-     * relations (never hashes: a collision would silently change a
-     * verdict).  Mutex-guarded; shared by copies of the model.
+     * Idle frames of this instance.  The lock only guards taking
+     * and returning one, so concurrent checks each run on their own
+     * frame.  A frame whose run threw is dropped, not returned.
      */
-    struct Memo;
-    std::shared_ptr<Memo> memo_;
+    mutable std::mutex poolMutex_;
+    mutable std::vector<std::unique_ptr<Frame>> pool_;
 };
 
 } // namespace lkmm

@@ -1,5 +1,6 @@
 #include "cat/parser.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <fstream>
 #include <sstream>
@@ -193,8 +194,9 @@ class Lexer
 
 /**
  * Adversarial (fuzzed) cat files can nest parentheses, brackets, or
- * complements arbitrarily deep; bound the recursive descent so they
- * fail with a ParseError instead of overflowing the stack.
+ * complements arbitrarily deep, or chain operators arbitrarily long;
+ * bound the recursive descent and the tree's height so they fail
+ * with a ParseError instead of overflowing the stack.
  */
 constexpr int kMaxNesting = 200;
 
@@ -270,6 +272,8 @@ class Parser
         }
         for (;;) {
             CatBinding binding;
+            binding.line = lex_.peek().line;
+            binding.col = lex_.peek().col;
             binding.name = expectIdent();
             if (lex_.peek().kind == Tok::LParen) {
                 lex_.next();
@@ -302,6 +306,7 @@ class Parser
             : kw == "irreflexive" ? CatStatement::Kind::Irreflexive
                                   : CatStatement::Kind::Empty;
         st.constraint = expr();
+        st.checkName = kw;
         if (lex_.peek().kind == Tok::Ident && lex_.peek().text == "as") {
             lex_.next();
             st.checkName = expectIdent();
@@ -309,13 +314,35 @@ class Parser
         return st;
     }
 
+    /** A node for the operator token `op` over its operands. */
     CatExprPtr
-    make(CatExpr::Kind kind, CatExprPtr a, CatExprPtr b = nullptr)
+    make(CatExpr::Kind kind, const Token &op, CatExprPtr a,
+         CatExprPtr b = nullptr)
     {
-        auto e = std::make_unique<CatExpr>(kind);
+        auto e = std::make_unique<CatExpr>(kind, op.line, op.col);
+        e->name = op.text;
         e->args.push_back(std::move(a));
         if (b)
             e->args.push_back(std::move(b));
+        return bounded(std::move(e));
+    }
+
+    /**
+     * Give e its height, bounded by kMaxNesting.  A left-associative
+     * chain (`a | a | ...`, `a???...`) deepens the tree without
+     * recursing here, and whatever walks the tree, the lowering and
+     * the destructor included, recurses once per level.
+     */
+    CatExprPtr
+    bounded(CatExprPtr e)
+    {
+        for (const CatExprPtr &arg : e->args)
+            e->height = std::max(e->height, arg->height + 1);
+        if (e->height > kMaxNesting) {
+            throw ParseError("cat parser: nesting deeper than " +
+                                 std::to_string(kMaxNesting) + " levels",
+                             e->line, e->col, e->name);
+        }
         return e;
     }
 
@@ -325,8 +352,8 @@ class Parser
     {
         CatExprPtr lhs = seq();
         while (lex_.peek().kind == Tok::Pipe) {
-            lex_.next();
-            lhs = make(CatExpr::Kind::Union, std::move(lhs), seq());
+            const Token op = lex_.next();
+            lhs = make(CatExpr::Kind::Union, op, std::move(lhs), seq());
         }
         return lhs;
     }
@@ -337,8 +364,8 @@ class Parser
     {
         CatExprPtr lhs = term();
         while (lex_.peek().kind == Tok::Semi) {
-            lex_.next();
-            lhs = make(CatExpr::Kind::Seq, std::move(lhs), term());
+            const Token op = lex_.next();
+            lhs = make(CatExpr::Kind::Seq, op, std::move(lhs), term());
         }
         return lhs;
     }
@@ -350,11 +377,13 @@ class Parser
         CatExprPtr lhs = prod();
         for (;;) {
             if (lex_.peek().kind == Tok::Amp) {
-                lex_.next();
-                lhs = make(CatExpr::Kind::Inter, std::move(lhs), prod());
+                const Token op = lex_.next();
+                lhs = make(CatExpr::Kind::Inter, op, std::move(lhs),
+                           prod());
             } else if (lex_.peek().kind == Tok::Backslash) {
-                lex_.next();
-                lhs = make(CatExpr::Kind::Diff, std::move(lhs), prod());
+                const Token op = lex_.next();
+                lhs = make(CatExpr::Kind::Diff, op, std::move(lhs),
+                           prod());
             } else {
                 break;
             }
@@ -389,13 +418,14 @@ class Parser
             // Lookahead decides infix vs postfix; postfix was already
             // consumed inside postfix(), so a '*' here is infix iff an
             // expression follows.
-            lex_.next();
+            const Token op = lex_.next();
             if (!startsExpression()) {
                 // Trailing postfix star after postfix chain.
-                lhs = make(CatExpr::Kind::Star, std::move(lhs));
+                lhs = make(CatExpr::Kind::Star, op, std::move(lhs));
                 continue;
             }
-            lhs = make(CatExpr::Kind::Product, std::move(lhs), postfix());
+            lhs = make(CatExpr::Kind::Product, op, std::move(lhs),
+                       postfix());
         }
         return lhs;
     }
@@ -408,16 +438,14 @@ class Parser
         for (;;) {
             switch (lex_.peek().kind) {
               case Tok::Question:
-                lex_.next();
-                e = make(CatExpr::Kind::Opt, std::move(e));
+                e = make(CatExpr::Kind::Opt, lex_.next(), std::move(e));
                 continue;
               case Tok::Plus:
-                lex_.next();
-                e = make(CatExpr::Kind::Plus, std::move(e));
+                e = make(CatExpr::Kind::Plus, lex_.next(), std::move(e));
                 continue;
               case Tok::Inverse:
-                lex_.next();
-                e = make(CatExpr::Kind::Inverse, std::move(e));
+                e = make(CatExpr::Kind::Inverse, lex_.next(),
+                         std::move(e));
                 continue;
               default:
                 break;
@@ -454,7 +482,8 @@ class Parser
             lex_.next();
             if (lex_.peek().kind == Tok::LParen) {
                 lex_.next();
-                auto call = std::make_unique<CatExpr>(CatExpr::Kind::Call);
+                auto call = std::make_unique<CatExpr>(CatExpr::Kind::Call,
+                                                      t.line, t.col);
                 call->name = t.text;
                 call->args.push_back(expr());
                 while (lex_.peek().kind == Tok::Comma) {
@@ -462,9 +491,10 @@ class Parser
                     call->args.push_back(expr());
                 }
                 expect(Tok::RParen, "')'");
-                return call;
+                return bounded(std::move(call));
             }
-            auto id = std::make_unique<CatExpr>(CatExpr::Kind::Id);
+            auto id = std::make_unique<CatExpr>(CatExpr::Kind::Id,
+                                                t.line, t.col);
             id->name = t.text;
             return id;
           }
@@ -478,11 +508,11 @@ class Parser
             lex_.next();
             CatExprPtr e = expr();
             expect(Tok::RBracket, "']'");
-            return make(CatExpr::Kind::Bracket, std::move(e));
+            return make(CatExpr::Kind::Bracket, t, std::move(e));
           }
           case Tok::Tilde: {
             lex_.next();
-            return make(CatExpr::Kind::Compl, postfix());
+            return make(CatExpr::Kind::Compl, t, postfix());
           }
           default:
             error("expected expression");

@@ -34,36 +34,10 @@ EngineConfig::toJson() const
     json::Object o;
     o["engine"] = modeName();
     o["max_candidates"] = budget.maxCandidates;
-    o["max_eval_steps"] = budget.maxEvalSteps;
     o["max_rf"] = budget.maxRfAssignments;
     o["wall_clock_ms"] = static_cast<std::int64_t>(
         duration_cast<milliseconds>(budget.wallClock).count());
     return o;
-}
-
-EngineConfig
-EngineConfig::fromJson(const json::Value &v)
-{
-    EngineConfig cfg;
-    if (const json::Value *m = v.get("engine"))
-        cfg.setMode(m->asString());
-    if (const json::Value *n = v.get("max_candidates"))
-        cfg.budget.maxCandidates =
-            static_cast<std::size_t>(n->asInt());
-    if (const json::Value *n = v.get("max_eval_steps"))
-        cfg.budget.maxEvalSteps = static_cast<std::size_t>(n->asInt());
-    if (const json::Value *n = v.get("max_rf"))
-        cfg.budget.maxRfAssignments =
-            static_cast<std::size_t>(n->asInt());
-    if (const json::Value *n = v.get("wall_clock_ms"))
-        cfg.budget.wallClock = std::chrono::milliseconds(n->asInt());
-    return cfg;
-}
-
-std::string
-EngineConfig::canonicalKey() const
-{
-    return json::Value(toJson()).serialize();
 }
 
 bool
@@ -87,10 +61,6 @@ EngineConfig::parseFlag(const std::string &arg,
         budget.maxRfAssignments = parseCount(arg, next());
         return true;
     }
-    if (arg == "--engine-max-eval-steps") {
-        budget.maxEvalSteps = parseCount(arg, next());
-        return true;
-    }
     return false;
 }
 
@@ -105,8 +75,7 @@ EngineConfig::flagHelp()
            "                      enumerates every rf x co candidate)\n"
            "  --engine-time-limit-ms N   per-run wall-clock budget\n"
            "  --engine-max-candidates N  candidate cap per run\n"
-           "  --engine-max-rf N          rf-assignment cap per run\n"
-           "  --engine-max-eval-steps N  cat eval-step cap per run\n";
+           "  --engine-max-rf N          rf-assignment cap per run\n";
 }
 
 } // namespace lkmm

@@ -10,15 +10,15 @@
  * bounds (RunBudget) — plus the two things every consumer was
  * reimplementing:
  *
- *  - a canonical JSON form (toJson/fromJson/canonicalKey).  The
- *    serve verdict cache keys on it, and because json::Object is a
- *    sorted map the serialization is deterministic: equal configs,
- *    equal keys.  Only the value knobs are serialized; the
- *    process-local budget plumbing (cancel token, shared sweep
- *    tracker) never travels.  The serve worker frame does not carry
- *    this form: it sends the mode name and the budget fields with
- *    the wall clock in nanoseconds, because wall_clock_ms would
- *    round a sub-millisecond remaining deadline to 0, which means
+ *  - a canonical JSON form (toJson).  The serve verdict cache keys
+ *    on it, and because json::Object is a sorted map the
+ *    serialization is deterministic: equal configs, equal keys.
+ *    Only the value knobs are serialized; the process-local budget
+ *    plumbing (cancel token, shared sweep tracker) never travels.
+ *    The serve worker frame does not carry this form: it sends the
+ *    mode name and the budget fields with the wall clock in
+ *    nanoseconds, because wall_clock_ms would round a
+ *    sub-millisecond remaining deadline to 0, which means
  *    unlimited.
  *
  *  - one flag vocabulary (parseFlag/flagHelp).  All four CLIs
@@ -28,7 +28,6 @@
  *        --engine-time-limit-ms N  per-run wall-clock budget
  *        --engine-max-candidates N
  *        --engine-max-rf N
- *        --engine-max-eval-steps N
  *
  *    lkmm-sweep's historic --time-limit-ms, --max-candidates and
  *    --max-rf, lkmm-serve's --time-limit-ms and lkmm-fuzz's
@@ -69,24 +68,11 @@ struct EngineConfig
 
     /**
      * Canonical JSON: {"engine": mode, "max_candidates": N,
-     * "max_eval_steps": N, "max_rf": N, "wall_clock_ms": N}.
-     * Pointer fields of the budget (cancel, shared) are
-     * process-local and deliberately not represented.
+     * "max_rf": N, "wall_clock_ms": N}.  Pointer fields of the
+     * budget (cancel, shared) are process-local and deliberately
+     * not represented.
      */
     json::Object toJson() const;
-
-    /**
-     * Rebuild from toJson() output.  Unknown keys are ignored,
-     * missing keys keep their defaults, so the wire format can grow
-     * fields without breaking older peers.
-     */
-    static EngineConfig fromJson(const json::Value &v);
-
-    /**
-     * serialize(toJson()): the deterministic identity of this
-     * config, e.g. for cache keys.
-     */
-    std::string canonicalKey() const;
 
     /**
      * Shared CLI parsing: when `arg` is an --engine-family flag,

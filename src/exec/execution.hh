@@ -6,7 +6,7 @@
  * (E, po, addr, data, ctrl, rmw) — the per-thread semantics — plus
  * an execution witness (rf, co) — the inter-thread communications.
  * This class stores both, together with every derived relation the
- * models in src/model and the cat interpreter in src/cat need:
+ * models in src/model and the cat evaluator in src/cat need:
  * loc, int/ext, fr, com, the fence-pair relations (rmb, wmb, mb,
  * rb-dep), po-rel, acq-po, rfi-rel-acq, the RCU relations gp and
  * crit, and the final machine state.

@@ -69,8 +69,8 @@ class Model
      * violating that axiom, under every configuration of the model.
      * The conservative default — no promises — keeps the engine
      * exact for unknown models at the cost of all pruning; builtins
-     * override it, and CatModel derives it syntactically from its
-     * statements (cat/classify.hh).
+     * override it, and CatModel derives it from its lowered
+     * program (cat/classify.hh).
      */
     virtual rel::SaturationSupport
     saturationSupport() const

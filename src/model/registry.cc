@@ -101,13 +101,13 @@ ModelRegistry::factoryFor(const std::string &spec) const
         catPath = spec;
 
     if (!catPath.empty()) {
-        // Validate eagerly: surface bad paths and malformed models
+        // Load once, eagerly: bad paths and malformed models surface
         // at spec-resolution time, not on first use in a worker.
-        CatModel::fromFile(catPath);
-        return [catPath] {
-            return std::make_unique<CatModel>(
-                CatModel::fromFile(catPath));
-        };
+        // Each instance copies the prototype, sharing its lowered
+        // program but keeping frames of its own.
+        auto proto = std::make_shared<const CatModel>(
+            CatModel::fromFile(catPath));
+        return [proto] { return std::make_unique<CatModel>(*proto); };
     }
 
     ModelFactory fac = find(spec);

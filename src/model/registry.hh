@@ -72,13 +72,13 @@ class ModelRegistry
 
     /**
      * Resolve a model spec to a factory: a registered name/alias, a
-     * "cat:PATH" spec, or a bare path ending in ".cat" (both load
-     * the cat file once per factory invocation, so parallel workers
-     * each get an independent interpreter).
+     * "cat:PATH" spec, or a bare path ending in ".cat".
      *
-     * The file behind a cat spec is validated eagerly — a bad path
+     * The file behind a cat spec is loaded once, here — a bad path
      * or malformed model throws here, not on first use inside a
-     * worker thread.
+     * worker thread.  Each factory invocation returns a copy that
+     * shares the lowered program and evaluates on frames of its
+     * own, so parallel workers never contend.
      *
      * @throws StatusError(InvalidArgument | IoError | ParseError)
      */

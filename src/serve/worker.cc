@@ -74,8 +74,6 @@ runOne(const std::string &frame,
             req.getInt("budget_candidates"));
         budget.maxRfAssignments =
             static_cast<std::size_t>(req.getInt("budget_rf"));
-        budget.maxEvalSteps =
-            static_cast<std::size_t>(req.getInt("budget_eval"));
         // Engine mode travels by name; absent (an older parent)
         // means the default engine.
         EngineConfig engine;
@@ -288,8 +286,6 @@ WorkerPool::execute(const WorkerRequest &req)
         static_cast<std::int64_t>(req.budget.maxCandidates);
     o["budget_rf"] =
         static_cast<std::int64_t>(req.budget.maxRfAssignments);
-    o["budget_eval"] =
-        static_cast<std::int64_t>(req.budget.maxEvalSteps);
     {
         EngineConfig engine;
         engine.enumerate = req.enumerate;

@@ -45,13 +45,11 @@ TEST(RunBudget, ScaledMultipliesEveryBound)
     b.wallClock = 10ms;
     b.maxCandidates = 100;
     b.maxRfAssignments = 50;
-    b.maxEvalSteps = 7;
 
     RunBudget s = b.scaled(4.0);
     EXPECT_EQ(s.wallClock, 40ms);
     EXPECT_EQ(s.maxCandidates, 400u);
     EXPECT_EQ(s.maxRfAssignments, 200u);
-    EXPECT_EQ(s.maxEvalSteps, 28u);
 }
 
 TEST(RunBudget, ScaledKeepsUnlimitedUnlimited)
@@ -64,7 +62,6 @@ TEST(RunBudget, ScaledKeepsUnlimitedUnlimited)
     RunBudget s = b.scaled(1000.0);
     EXPECT_EQ(s.maxCandidates, 100000u);
     EXPECT_EQ(s.maxRfAssignments, 0u);
-    EXPECT_EQ(s.maxEvalSteps, 0u);
     EXPECT_EQ(s.wallClock.count(), 0);
 
     EXPECT_TRUE(RunBudget::unlimited().scaled(8.0).isUnlimited());
@@ -136,16 +133,6 @@ TEST(BudgetTracker, RfAssignmentCap)
     EXPECT_TRUE(t.onRfAssignment());
     EXPECT_FALSE(t.onRfAssignment());
     EXPECT_EQ(t.bound(), BoundKind::RfAssignments);
-}
-
-TEST(BudgetTracker, EvalStepCap)
-{
-    RunBudget b;
-    b.maxEvalSteps = 1;
-    BudgetTracker t(b);
-    EXPECT_TRUE(t.onEvalStep());
-    EXPECT_FALSE(t.onEvalStep());
-    EXPECT_EQ(t.bound(), BoundKind::EvalSteps);
 }
 
 TEST(BudgetTracker, UnlimitedNeverTrips)

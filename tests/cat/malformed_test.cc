@@ -1,9 +1,9 @@
 /**
  * @file
  * Malformed-cat regression corpus: every file under tests/cat/corpus
- * must fail with a structured ParseError (line, column, offending
- * token), and inline cases pin exact coordinates for the lexer and
- * parser error paths.
+ * must fail to load with a structured ParseError (line, column,
+ * offending token) — in the lexer, the parser or the lowering — and
+ * inline cases pin exact coordinates for those error paths.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "base/status.hh"
+#include "cat/eval.hh"
 #include "cat/parser.hh"
 
 namespace lkmm
@@ -37,14 +38,18 @@ corpusFiles()
 TEST(MalformedCat, EveryCorpusFileFailsStructurally)
 {
     const std::vector<fs::path> files = corpusFiles();
-    // truncated, unbalanced-parens, unknown-keyword, bad-char,
-    // unterminated-string, deep-paren-nesting.
-    ASSERT_GE(files.size(), 6u);
+    // Syntax: truncated, unbalanced-parens, unknown-keyword,
+    // bad-char, unterminated-string, deep-paren-nesting,
+    // long-operator-chain.  Lowering: undefined-identifier,
+    // recursive-function, non-monotone-rec, set-as-relation,
+    // wrong-arity, recursive-set, doubling-blowup,
+    // doubling-forwarders, forwarding-chain.
+    ASSERT_GE(files.size(), 16u);
 
     for (const fs::path &f : files) {
         try {
-            (void)cat::parseCatFile(f.string());
-            FAIL() << f.filename() << " parsed successfully";
+            (void)CatModel::fromFile(f.string());
+            FAIL() << f.filename() << " loaded successfully";
         } catch (const ParseError &e) {
             EXPECT_GE(e.line(), 1) << f.filename();
             EXPECT_GE(e.column(), 1) << f.filename();
@@ -117,6 +122,36 @@ TEST(MalformedCat, DeepNestingIsParseErrorNotStackOverflow)
     } catch (const ParseError &e) {
         EXPECT_EQ(e.line(), 1);
         EXPECT_NE(std::string(e.what()).find("nesting"),
+                  std::string::npos);
+    }
+}
+
+TEST(MalformedCat, LongOperatorChainIsParseErrorNotStackOverflow)
+{
+    // `po` plus 199 postfix operators is 200 levels: the bound.
+    (void)cat::parseCat("let a = po" + std::string(199, '?') + "\n");
+    try {
+        (void)cat::parseCat("let a = po" + std::string(100000, '?') + "\n");
+        FAIL() << "parsed";
+    } catch (const ParseError &e) {
+        EXPECT_EQ(e.line(), 1);
+        EXPECT_EQ(e.column(), 11 + 199); // the 200th '?'
+        EXPECT_EQ(e.token(), "?");
+        EXPECT_NE(std::string(e.what()).find("nesting"),
+                  std::string::npos);
+    }
+}
+
+TEST(MalformedCat, UndefinedIdentifierCoordinates)
+{
+    try {
+        (void)CatModel::fromSource("\"m\"\nlet a = po | nosuch\n");
+        FAIL() << "loaded";
+    } catch (const ParseError &e) {
+        EXPECT_EQ(e.line(), 2);
+        EXPECT_EQ(e.column(), 14);
+        EXPECT_EQ(e.token(), "nosuch");
+        EXPECT_NE(std::string(e.what()).find("undefined identifier"),
                   std::string::npos);
     }
 }

@@ -208,15 +208,27 @@ TEST_F(DiySweep, LkmmSoundWrtArchitectures)
 
 TEST_F(DiySweep, CatModelEquivalentOnGeneratedTests)
 {
-    static CatModel catModel = CatModel::fromFile(
-        std::string(LKMM_CAT_MODEL_DIR) + "/lkmm.cat");
-    LkmmModel native;
-    std::size_t i = 0;
-    for (const Program &p : tests()) {
-        if (i++ % 29 != 0)
-            continue;
-        EXPECT_EQ(quickVerdict(p, catModel), quickVerdict(p, native))
-            << p.name;
+    // Every shipped cat file against its native model.
+    LkmmModel lkmm;
+    PowerModel power;
+    ScModel sc;
+    TsoModel tso;
+    const std::pair<const char *, const Model *> pairs[] = {
+        {"lkmm.cat", &lkmm},
+        {"power.cat", &power},
+        {"sc.cat", &sc},
+        {"tso.cat", &tso},
+    };
+    for (const auto &[file, native] : pairs) {
+        const CatModel catModel = CatModel::fromFile(
+            std::string(LKMM_CAT_MODEL_DIR) + "/" + file);
+        std::size_t i = 0;
+        for (const Program &p : tests()) {
+            if (i++ % 29 != 0)
+                continue;
+            EXPECT_EQ(quickVerdict(p, catModel), quickVerdict(p, *native))
+                << file << " on " << p.name;
+        }
     }
 }
 

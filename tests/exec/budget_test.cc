@@ -4,7 +4,7 @@
  * space trips the candidate/rf caps and reports a truncated,
  * bound-attributed result; re-running with a larger budget
  * completes.  Also covers the runner's graceful degradation to
- * Verdict::Unknown and the cat evaluator's step budget.
+ * Verdict::Unknown and the shared engine flags.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 
 #include "base/budget.hh"
 #include "base/status.hh"
-#include "cat/eval.hh"
 #include "diy/generator.hh"
 #include "exec/engine_config.hh"
 #include "exec/enumerate.hh"
@@ -225,9 +224,9 @@ TEST(EngineFlags, CountsAcceptPlainDecimalDigits)
     EXPECT_EQ(cfg.budget.maxCandidates, 1000u);
     EXPECT_FALSE(parseEngineFlag(cfg, "--engine-max-rf", "0"));
     EXPECT_EQ(cfg.budget.maxRfAssignments, 0u);
-    EXPECT_FALSE(parseEngineFlag(cfg, "--engine-max-eval-steps",
+    EXPECT_FALSE(parseEngineFlag(cfg, "--engine-max-rf",
                                  "18446744073709551615"));
-    EXPECT_EQ(cfg.budget.maxEvalSteps, 18446744073709551615u);
+    EXPECT_EQ(cfg.budget.maxRfAssignments, 18446744073709551615u);
     EXPECT_FALSE(parseEngineFlag(cfg, "--engine-time-limit-ms", "250"));
     EXPECT_EQ(cfg.budget.wallClock, 250ms);
 }
@@ -246,7 +245,6 @@ TEST(EngineFlags, RejectsAnythingButDigitsThatFit)
         {"--engine-max-candidates", ""},
         {"--engine-max-candidates", "18446744073709551616"},
         {"--engine-max-rf", "-1"},
-        {"--engine-max-eval-steps", "0x10"},
         {"--engine-time-limit-ms", "-1"},
         {"--engine-time-limit-ms", "1.5"},
         {"--engine-time-limit-ms", "9223372036854775807"},
@@ -283,38 +281,6 @@ TEST(EngineFlags, TwoModesDefaultingToRfFirst)
         EXPECT_NE(st->message().find("brute"), std::string::npos);
         EXPECT_NE(st->message().find("rf-first"), std::string::npos);
     }
-}
-
-// Cat evaluator step budget ------------------------------------------
-
-TEST(EvalBudget, StepCapThrowsBudgetExceeded)
-{
-    // A partly-evaluated model has no sound partial verdict, so the
-    // eval budget is a hard error, not a degradation.
-    CatModel model = CatModel::fromSource(
-        "let com = rf | co | fr\n"
-        "acyclic po-loc | com as sc-per-location\n",
-        "tiny");
-
-    Program p = sb();
-    Enumerator en(p);
-    std::vector<CandidateExecution> exs = en.all();
-    ASSERT_FALSE(exs.empty());
-
-    // Unlimited works.
-    (void)model.check(exs[0]);
-
-    model.setEvalBudget(1);
-    try {
-        (void)model.check(exs[0]);
-        FAIL() << "step budget did not trip";
-    } catch (const StatusError &e) {
-        EXPECT_EQ(e.status().code(), StatusCode::BudgetExceeded);
-    }
-
-    // A generous budget works again.
-    model.setEvalBudget(1000000);
-    (void)model.check(exs[0]);
 }
 
 } // namespace

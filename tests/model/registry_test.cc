@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <set>
 #include <string>
 
@@ -20,6 +23,8 @@ namespace lkmm
 {
 namespace
 {
+
+namespace fs = std::filesystem;
 
 TEST(Registry, ListsEveryBuiltinModel)
 {
@@ -113,6 +118,31 @@ TEST(Registry, FactoryForValidatesCatFilesEagerly)
     EXPECT_THROW(ModelRegistry::instance().factoryFor(
                      "cat:/nonexistent/model.cat"),
                  StatusError);
+}
+
+TEST(Registry, CatFactoryLoadsOnce)
+{
+    // The spec is loaded when it is resolved; later instances copy
+    // that model, so the file is not read again.
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("lkmm-registry-" + std::to_string(::getpid()));
+    fs::create_directories(dir);
+    const fs::path copy = dir / "lkmm.cat";
+    fs::copy_file(std::string(LKMM_CAT_MODEL_DIR) + "/lkmm.cat", copy,
+                  fs::copy_options::overwrite_existing);
+    ModelFactory f =
+        ModelRegistry::instance().factoryFor("cat:" + copy.string());
+    fs::remove_all(dir);
+
+    auto a = f();
+    auto b = f();
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    EXPECT_NE(a.get(), b.get());
+    EXPECT_EQ(a->name(), b->name());
+    EXPECT_EQ(quickVerdict(sb(), *a), Verdict::Allow);
+    EXPECT_EQ(quickVerdict(sb(), *b), Verdict::Allow);
 }
 
 TEST(Registry, HelpTextAndKnownNamesCoverTheTable)

@@ -378,6 +378,31 @@ TEST(Server, UnknownModelSpecIsAnErrorNotACrash)
     server.stop();
 }
 
+TEST(Server, MalformedCatSpecIsAnErrorNotACrash)
+{
+    // The daemon loads a named cat file on the connection thread,
+    // outside any worker sandbox: each of these must come back as an
+    // error, quickly, with the daemon still serving.
+    ServeOptions opts;
+    opts.socketPath = socketPath("badcat");
+    opts.workers = 1;
+    Server server(opts);
+    server.start();
+
+    for (const char *file :
+         {"recursive-function.cat", "doubling-forwarders.cat",
+          "forwarding-chain.cat", "long-operator-chain.cat"}) {
+        json::Object req = verifyRequest(kMp);
+        req["model"] = std::string("cat:") + LKMM_CAT_CORPUS_DIR + "/" + file;
+        const json::Value resp = request(opts.socketPath, json::Value(req));
+        EXPECT_EQ(resp.getString("status"), "error")
+            << file << ": " << resp.serialize();
+    }
+    const json::Value ok = request(opts.socketPath, verifyRequest(kMp));
+    EXPECT_EQ(ok.getString("status"), "ok") << ok.serialize();
+    server.stop();
+}
+
 TEST(Server, StatsOpReportsCountersAndCache)
 {
     ServeOptions opts;
