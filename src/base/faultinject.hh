@@ -21,7 +21,15 @@
  * the test's name as context, so one plan plus a context filter
  * kills exactly the targeted test in any sandbox.  A forked child
  * inherits the plan with the parent's counter, which stays at zero
- * while the parent never passes a matching site.
+ * while the parent never passes a matching site.  A one-shot child
+ * therefore starts every run from that count, while a persistent
+ * child — a serve worker or lkmm-fuzz's side worker — keeps counting
+ * across all the requests it serves: "enumerate:2:crash" filtered
+ * to one fuzz candidate kills the side worker on the candidate's
+ * second side, and never the one-shot child that re-runs that side
+ * alone.  lkmm-fuzz counts such a death as unconfirmed instead of
+ * reporting it.  A worker forked after a death starts again from
+ * the parent's count.
  *
  * Arming is programmatic or via environment variables —
  * LKMM_FAULT_PLAN (comma-separated "site:hit:kind[:tornBytes]"

@@ -4,11 +4,9 @@
 #include <cerrno>
 #include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
-#include <dirent.h>
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
@@ -383,34 +381,6 @@ waitAny(const std::vector<Child *> &children)
             done.push_back(i);
     }
     return done;
-}
-
-void
-closeFdsExcept(const std::vector<int> &keep)
-{
-    DIR *dir = ::opendir("/proc/self/fd");
-    if (dir == nullptr)
-        return; // /proc unavailable: keep the inherited fds, degraded
-    const int dirFd = ::dirfd(dir);
-    std::vector<int> toClose;
-    while (struct dirent *entry = ::readdir(dir)) {
-        char *end = nullptr;
-        const long fd = std::strtol(entry->d_name, &end, 10);
-        if (end == entry->d_name || *end != '\0')
-            continue;
-        if (fd <= 2 || fd == dirFd)
-            continue;
-        bool keepIt = false;
-        for (const int k : keep)
-            keepIt = keepIt || fd == k;
-        if (!keepIt)
-            toClose.push_back(static_cast<int>(fd));
-    }
-    ::closedir(dir);
-    // Close after the scan: closing mid-iteration invalidates the
-    // directory stream on some libcs.
-    for (const int fd : toClose)
-        ::close(fd);
 }
 
 std::size_t

@@ -11,13 +11,16 @@
  * code.  Two bodies exist:
  *
  *   - the one-shot spawn(work): the callback's string result travels
- *     back over the channel (fork-per-task sweeps, fuzz oracle
- *     sides, chaos schedules);
- *   - a persistent body that speaks frames until EOF on the channel
- *     (the lkmm-serve worker tier).
+ *     back over the channel (fork-per-task sweeps, chaos schedules,
+ *     and the fuzz oracle side that confirms a side-worker death);
+ *   - the persistent body, base/channel's serveFrames, which answers
+ *     request frames until EOF on the channel (the lkmm-serve worker
+ *     tier and lkmm-fuzz's side worker).  Its parent sends each
+ *     request through channel::call, the one request/reply loop.
  *
  * The parent owns the watchdog: waitAny polls a set of channels
- * until the nearest deadline and SIGKILLs a child that overruns it.
+ * until the nearest deadline and SIGKILLs a child that overruns it;
+ * channel::call does the same per request for a persistent child.
  *
  * The exit protocol makes every failure mode distinguishable:
  *
@@ -235,17 +238,6 @@ std::vector<std::size_t> waitAny(const std::vector<Child *> &children);
  */
 Outcome runIsolated(const std::function<std::string()> &work,
                     const Limits &limits = {});
-
-/**
- * Close every file descriptor except 0/1/2 and the ones in keep.
- * For persistent forked children (the lkmm-serve worker tier): a
- * fork inherits every open fd — listening sockets, other clients'
- * connections, the cache journal — and a long-lived child holding
- * them can delay peer EOFs and keep files pinned long after the
- * parent released them.  Scans /proc/self/fd; must be called from
- * the child, before any other descriptor is created.
- */
-void closeFdsExcept(const std::vector<int> &keep);
 
 /**
  * Resident set size of a live process in KiB, from

@@ -157,6 +157,12 @@ runFuzz(const FuzzOptions &opts)
     for (std::size_t i = 0; i < jobs; ++i)
         oracleSets.push_back(makeOracles(oracleSpec, opts.catModelDir));
 
+    // A sequential isolated campaign runs its sides in one persistent
+    // sandbox, retired (and its deaths counted) before returning.
+    std::optional<SideWorker> sandbox;
+    if (jobs == 1 && opts.oracle.isolate)
+        sandbox.emplace(oracleSets[0], opts.oracle);
+
     /** Evaluate one iteration against one oracle set (any thread). */
     auto evalIter = [&](std::uint64_t iter,
                         const std::vector<Oracle> &oracleSet) {
@@ -176,9 +182,13 @@ runFuzz(const FuzzOptions &opts)
             oracleOpts.isolate = false;
         }
         oracleOpts.seed = mixSeed(seed, iter);
+        auto inSandbox = [&](const OracleSide &side) {
+            return sandbox->run(side, *cand, source, oracleOpts.seed);
+        };
         for (const Oracle &oracle : oracleSet) {
             const std::optional<Finding> finding =
-                runOracle(oracle, *cand, oracleOpts);
+                sandbox ? runOracle(oracle, *cand, inSandbox)
+                        : runOracle(oracle, *cand, oracleOpts);
             if (!finding)
                 continue;
             FuzzFinding f;
@@ -246,6 +256,10 @@ runFuzz(const FuzzOptions &opts)
                 break;
             }
             recordIter(iter, evalIter(iter, oracleSets[0]));
+        }
+        if (sandbox) {
+            report.unconfirmedDeaths = sandbox->unconfirmedDeaths();
+            sandbox.reset();
         }
         return report;
     }

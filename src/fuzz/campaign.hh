@@ -6,7 +6,9 @@
  * --max-iters): iteration i derives its own Rng from mixSeed(seed,
  * i), draws a candidate (a diy random cycle or a mutated catalog
  * program), and runs it through every oracle inside the subprocess
- * sandbox.  Findings are minimized (fuzz/shrink.hh), deduplicated
+ * sandbox: one persistent SideWorker per sequential campaign, with a
+ * fresh one-shot child confirming each worker death (fuzz/oracle.hh).
+ * Findings are minimized (fuzz/shrink.hh), deduplicated
  * into signature buckets (fuzz/triage.hh), appended to a
  * crash-tolerant journal, and their repros written to the corpus
  * directory.  Because candidates depend only on (seed, i), a resumed
@@ -67,7 +69,12 @@ struct FuzzOptions
      * finished campaign.
      */
     bool resume = false;
-    /** Sandbox / enumeration limits for each oracle side. */
+    /**
+     * Sandbox deadline and enumeration limits for each oracle side.
+     * With isolate and jobs == 1, the campaign forks one persistent
+     * side worker; minimization and confirmation re-runs fork one
+     * one-shot child per side.
+     */
     OracleOptions oracle;
     /**
      * Candidate evaluations in flight (min 1).  With jobs > 1,
@@ -102,6 +109,12 @@ struct FuzzReport
     TriageDb triage;
     bool cancelled = false;
     bool timedOut = false;
+    /**
+     * Side-worker deaths that the one-shot re-run did not reproduce
+     * (SideWorker::unconfirmedDeaths): not findings, but a leaking or
+     * flaky worker shows up here instead of being absorbed.
+     */
+    std::uint64_t unconfirmedDeaths = 0;
 };
 
 /**

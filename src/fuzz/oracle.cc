@@ -1,11 +1,15 @@
 #include "fuzz/oracle.hh"
 
+#include <algorithm>
 #include <csignal>
 #include <memory>
 #include <sstream>
+#include <string_view>
 
+#include "base/channel.hh"
 #include "base/status.hh"
 #include "cat/eval.hh"
+#include "litmus/parser.hh"
 #include "model/lkmm_model.hh"
 #include "model/registry.hh"
 #include "sim/machine.hh"
@@ -220,7 +224,8 @@ evalSidePayload(const OracleSide &side, const Program &prog,
     }
 }
 
-SideOutcome
+/** evalSidePayload's answer decoded; nullopt for any other text. */
+std::optional<SideOutcome>
 decodePayload(const std::string &payload)
 {
     SideOutcome out;
@@ -237,9 +242,7 @@ decodePayload(const std::string &payload)
         out.detail = rest.empty() ? "unknown" : rest;
         return out;
     }
-    out.kind = SideOutcome::Kind::Error;
-    out.detail = "bad-payload";
-    return out;
+    return std::nullopt;
 }
 
 /** Is this Error detail a structured rejection of the input? */
@@ -294,11 +297,12 @@ runSide(const OracleSide &side, const Program &prog,
         const OracleOptions &opts)
 {
     if (!opts.isolate)
-        return decodePayload(evalSidePayload(side, prog, opts));
+        return *decodePayload(evalSidePayload(side, prog, opts));
 
+    subprocess::Limits limits;
+    limits.deadline = opts.deadline;
     const subprocess::Outcome outcome = subprocess::runIsolated(
-        [&] { return evalSidePayload(side, prog, opts); },
-        opts.limits);
+        [&] { return evalSidePayload(side, prog, opts); }, limits);
 
     SideOutcome out;
     switch (outcome.kind) {
@@ -316,11 +320,130 @@ runSide(const OracleSide &side, const Program &prog,
             out.detail = "exit-" + std::to_string(outcome.exitCode);
             return out;
         }
-        return decodePayload(outcome.output);
+        if (auto decoded = decodePayload(outcome.output))
+            return *decoded;
+        out.kind = SideOutcome::Kind::Error;
+        out.detail = "bad-payload";
+        return out;
     }
     out.kind = SideOutcome::Kind::Error;
     out.detail = "unknown-outcome";
     return out;
+}
+
+namespace
+{
+
+/** The worker's answer to a request it cannot handle. */
+constexpr const char *kBadRequest = "bad-request";
+
+/** Grace a retiring side worker gets to exit at EOF. */
+constexpr std::chrono::milliseconds kRetireGrace{500};
+
+/**
+ * Worker side of one request, "<side index> <seed>\n<litmus text>":
+ * evalSidePayload's answer, or kBadRequest.  The sides of one
+ * candidate arrive in a row, so the last text parsed is kept.
+ */
+std::string
+answerSide(const std::vector<const OracleSide *> &sides,
+           const OracleOptions &base, const std::string &request,
+           std::string &lastSource, std::optional<Program> &lastProg)
+{
+    const std::size_t newline = request.find('\n');
+    if (newline == std::string::npos)
+        return kBadRequest;
+    std::istringstream header(request.substr(0, newline));
+    std::size_t index = 0;
+    std::uint64_t seed = 0;
+    if (!(header >> index >> seed) || index >= sides.size())
+        return kBadRequest;
+    const std::string_view source =
+        std::string_view(request).substr(newline + 1);
+    if (!lastProg || source != lastSource) {
+        lastProg.reset();
+        try {
+            lastProg = parseLitmus(std::string(source));
+        } catch (const std::exception &) {
+            // The campaign printed this text from a valid program:
+            // a text that does not parse back is a printer fault,
+            // for the one-shot re-run to judge.
+            return kBadRequest;
+        }
+        lastSource = source;
+    }
+    OracleOptions opts = base;
+    opts.seed = seed;
+    return evalSidePayload(*sides[index], *lastProg, opts);
+}
+
+} // namespace
+
+SideWorker::SideWorker(const std::vector<Oracle> &oracles,
+                       const OracleOptions &opts)
+    : opts_(opts)
+{
+    for (const Oracle &o : oracles) {
+        sides_.push_back(&o.a);
+        sides_.push_back(&o.b);
+    }
+}
+
+SideWorker::~SideWorker()
+{
+    if (child_)
+        child_->retire(kRetireGrace);
+}
+
+SideOutcome
+SideWorker::run(const OracleSide &side, const Program &prog,
+                const std::string &source, std::uint64_t seed)
+{
+    const auto it = std::find(sides_.begin(), sides_.end(), &side);
+    if (it == sides_.end()) {
+        throw StatusError(Status(StatusCode::Internal,
+                                 "side " + side.label +
+                                     " is not in the worker's oracle set"));
+    }
+    OracleOptions opts = opts_;
+    opts.seed = seed;
+
+    if (!child_) {
+        // Forked from the campaign thread, single-threaded, like the
+        // one-shot children; the state the body keeps lives only in
+        // the child.
+        child_ = subprocess::Child::spawn([this](int fd) {
+            std::string lastSource;
+            std::optional<Program> lastProg;
+            return channel::serveFrames(
+                fd, [&](const std::string &request) {
+                    return answerSide(sides_, opts_, request, lastSource,
+                                      lastProg);
+                });
+        });
+    }
+    std::optional<std::chrono::steady_clock::time_point> deadline;
+    if (opts.deadline.count() > 0)
+        deadline = std::chrono::steady_clock::now() + opts.deadline;
+    const std::string request = std::to_string(it - sides_.begin()) +
+        " " + std::to_string(seed) + "\n" + source;
+    const channel::Reply reply = channel::call(*child_, request, deadline);
+    if (reply.frame) {
+        if (auto out = decodePayload(*reply.frame))
+            return *out;
+        channel::reap(*child_);
+    }
+    child_.reset();
+
+    // The worker died, overran or could not answer.  Inputs are
+    // deterministic, so a fresh one-shot child is the judge: its
+    // outcome is the side's, and only a hard failure it reproduces
+    // becomes a finding.
+    const SideOutcome confirmed = runSide(side, prog, opts);
+    if (confirmed.kind == SideOutcome::Kind::Ok ||
+        isStructuredReject(confirmed))
+        ++unconfirmedDeaths_;
+    return confirmed;
 }
 
 std::string
@@ -363,6 +486,14 @@ std::optional<Finding>
 runOracle(const Oracle &oracle, const Program &prog,
           const OracleOptions &opts)
 {
+    return runOracle(oracle, prog, [&](const OracleSide &side) {
+        return runSide(side, prog, opts);
+    });
+}
+
+std::optional<Finding>
+runOracle(const Oracle &oracle, const Program &prog, const SideEval &eval)
+{
     // The Subset inclusion direction reverses under forall; skip.
     if (oracle.mode == Oracle::Mode::Subset &&
         prog.quantifier != Quantifier::Exists) {
@@ -371,10 +502,10 @@ runOracle(const Oracle &oracle, const Program &prog,
     if (!oracle.rcuSound && usesRcu(prog))
         return std::nullopt;
 
-    const SideOutcome oa = runSide(oracle.a, prog, opts);
+    const SideOutcome oa = eval(oracle.a);
     if (auto f = hardFailure(oracle, oracle.a, oa))
         return f;
-    const SideOutcome ob = runSide(oracle.b, prog, opts);
+    const SideOutcome ob = eval(oracle.b);
     if (auto f = hardFailure(oracle, oracle.b, ob))
         return f;
 

@@ -14,10 +14,14 @@
  *           operational-SC-observed is a subset of axiomatic-SC-
  *           allowed).
  *
- * Each side runs inside the PR-2 subprocess sandbox, so a side that
+ * Each side runs inside a subprocess sandbox, so a side that
  * segfaults, aborts, or hangs becomes a finding attributed to that
  * side's label (the stack-less "phase tag" of the triage signature)
- * instead of killing the campaign.  Unknown verdicts (budget
+ * instead of killing the campaign.  runSide forks one one-shot child
+ * per side.  A campaign evaluates its sides in one persistent
+ * SideWorker instead, and lets a fresh one-shot child confirm every
+ * worker death: inputs are deterministic, so only a failure that
+ * child reproduces is a finding.  Unknown verdicts (budget
  * truncation) are inconclusive and never produce findings, and
  * Subset oracles only apply to exists-quantified tests (the
  * inclusion direction reverses under forall).
@@ -26,6 +30,7 @@
 #ifndef LKMM_FUZZ_ORACLE_HH
 #define LKMM_FUZZ_ORACLE_HH
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -106,8 +111,12 @@ std::string knownOracleSpec();
 /** How one oracle run is executed. */
 struct OracleOptions
 {
-    /** Sandbox caps applied to each side (isolated mode). */
-    subprocess::Limits limits;
+    /**
+     * Watchdog deadline for each isolated side (0 = none).  The only
+     * sandbox cap: rlimits are per process, so in a persistent
+     * worker RLIMIT_CPU would add up across sides.
+     */
+    std::chrono::nanoseconds deadline{0};
     /** Engine selection and enumeration budget for each side. */
     EngineConfig engine;
     /** Fork each side into the sandbox (crashes become findings). */
@@ -133,9 +142,60 @@ struct SideOutcome
     std::string detail;
 };
 
-/** Evaluate one side, sandboxed per opts. */
+/**
+ * Evaluate one side, in-process or (opts.isolate) in a fresh
+ * one-shot child under opts.deadline.
+ */
 SideOutcome runSide(const OracleSide &side, const Program &prog,
                     const OracleOptions &opts);
+
+/**
+ * The persistent sandbox for the sides of one oracle set: one forked
+ * worker evaluates side after side, so a campaign forks once instead
+ * of once per side.  Each request carries the side's index in the
+ * set, the seed and the candidate's printed litmus text; the worker
+ * parses each distinct text once and answers with runSide's payload.
+ *
+ * A worker that crashes, overruns opts.deadline, or answers (or is
+ * sent) something it cannot handle is reaped, and the side is
+ * re-run in a fresh one-shot child through runSide.  Only that
+ * child's outcome is returned, so crash and timeout signatures are
+ * the one-shot path's.  The next run() forks a fresh worker.
+ */
+class SideWorker
+{
+  public:
+    /**
+     * The worker, forked on first use, holds its own copy of
+     * `oracles` and of opts' engine and deadline.  `oracles` must
+     * outlive this object; run() takes only sides of it.
+     */
+    SideWorker(const std::vector<Oracle> &oracles,
+               const OracleOptions &opts);
+    /** Retire the live worker: EOF on its channel, then reap. */
+    ~SideWorker();
+    SideWorker(const SideWorker &) = delete;
+    SideWorker &operator=(const SideWorker &) = delete;
+
+    /**
+     * Evaluate `side` on prog, whose printLitmus text is `source`,
+     * with the operational-machine seed `seed`.
+     */
+    SideOutcome run(const OracleSide &side, const Program &prog,
+                    const std::string &source, std::uint64_t seed);
+
+    /**
+     * Worker deaths the one-shot re-run did not reproduce: its
+     * outcome was a verdict or a structured rejection.
+     */
+    std::uint64_t unconfirmedDeaths() const { return unconfirmedDeaths_; }
+
+  private:
+    std::vector<const OracleSide *> sides_;
+    OracleOptions opts_;
+    std::optional<subprocess::Child> child_;
+    std::uint64_t unconfirmedDeaths_ = 0;
+};
 
 /** A reproducible disagreement, crash, hang, or internal error. */
 struct Finding
@@ -150,12 +210,20 @@ struct Finding
     std::string signature() const;
 };
 
+/** Evaluates one side of an oracle on the program under test. */
+using SideEval = std::function<SideOutcome(const OracleSide &side)>;
+
 /**
- * Run one oracle on one program.  nullopt when the sides agree (or
- * the comparison is inconclusive: an Unknown verdict, a Subset
- * oracle on a forall test, or a structured input rejection on both
- * sides).
+ * Run one oracle on one program, evaluating its sides with `eval`.
+ * nullopt when the sides agree (or the comparison is inconclusive:
+ * an Unknown verdict, a Subset oracle on a forall test, or a
+ * structured input rejection on both sides).
  */
+std::optional<Finding> runOracle(const Oracle &oracle,
+                                 const Program &prog,
+                                 const SideEval &eval);
+
+/** runOracle with each side evaluated by runSide(side, prog, opts). */
 std::optional<Finding> runOracle(const Oracle &oracle,
                                  const Program &prog,
                                  const OracleOptions &opts);

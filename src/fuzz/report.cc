@@ -33,6 +33,8 @@ toJson(const FuzzReport &report)
         static_cast<std::int64_t>(report.triage.buckets().size());
     root["cancelled"] = report.cancelled;
     root["timedOut"] = report.timedOut;
+    root["unconfirmedDeaths"] =
+        static_cast<std::int64_t>(report.unconfirmedDeaths);
     json::Array buckets;
     for (const auto &[sig, bucket] : report.triage.buckets())
         buckets.push_back(bucketJson(bucket));
@@ -56,11 +58,13 @@ printText(std::FILE *out, const FuzzReport &report)
     }
     std::fprintf(out,
                  "fuzz: %llu iterations, %llu findings in %zu "
-                 "buckets%s%s\n",
+                 "buckets, %llu unconfirmed worker deaths%s%s\n",
                  static_cast<unsigned long long>(report.iters),
                  static_cast<unsigned long long>(
                      report.triage.totalFindings()),
                  report.triage.buckets().size(),
+                 static_cast<unsigned long long>(
+                     report.unconfirmedDeaths),
                  report.timedOut ? " (time budget reached)" : "",
                  report.cancelled ? " (cancelled)" : "");
 }

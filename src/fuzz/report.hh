@@ -19,13 +19,15 @@ namespace lkmm::fuzz
 
 /**
  * The machine-readable campaign summary: seed, iteration counts,
- * finding/bucket totals and the per-bucket detail array.
+ * finding/bucket totals, unconfirmed worker deaths and the
+ * per-bucket detail array.
  */
 json::Value toJson(const FuzzReport &report);
 
 /**
  * The human-readable campaign summary: one BUCKET line per triage
- * bucket plus the one-line totals footer.
+ * bucket plus the one-line totals footer (unconfirmed worker deaths
+ * included).
  */
 void printText(std::FILE *out, const FuzzReport &report);
 

@@ -7,7 +7,7 @@
 #include <cerrno>
 #include <cstring>
 
-#include "base/eintr.hh"
+#include "base/channel.hh"
 #include "base/status.hh"
 #include "base/strutil.hh"
 
@@ -19,8 +19,8 @@ namespace
 
 /**
  * Render errno for an IoError message.  Includes both the symbolic
- * strerror text ("Broken pipe") and the number, so base/retry's
- * transient-marker match sees the canonical spelling.
+ * strerror text ("Connection refused") and the number, so
+ * base/retry's transient-marker match sees the canonical spelling.
  */
 std::string
 errnoText(int err)
@@ -28,114 +28,7 @@ errnoText(int err)
     return format("%s (errno %d)", std::strerror(err), err);
 }
 
-[[noreturn]] void
-throwIo(const char *op, int err)
-{
-    throw StatusError(Status(
-        StatusCode::IoError,
-        format("%s failed: %s", op, errnoText(err).c_str())));
-}
-
-/**
- * recv() exactly n bytes.  Returns the byte count actually read,
- * which is less than n only when the peer closed the stream.
- */
-std::size_t
-readAll(int fd, char *buf, std::size_t n, const char *faultSite)
-{
-    std::size_t got = 0;
-    while (got < n) {
-        ssize_t rc;
-        if (faultSite) {
-            rc = retryEintr(faultSite, ECONNRESET, [&] {
-                return ::recv(fd, buf + got, n - got, 0);
-            });
-        } else {
-            do {
-                rc = ::recv(fd, buf + got, n - got, 0);
-            } while (rc == -1 && errno == EINTR);
-        }
-        if (rc == 0)
-            break;
-        if (rc < 0)
-            throwIo("frame recv", errno);
-        got += static_cast<std::size_t>(rc);
-    }
-    return got;
-}
-
-/** send() the whole buffer; MSG_NOSIGNAL keeps EPIPE an errno. */
-void
-writeAll(int fd, const char *buf, std::size_t n, const char *faultSite)
-{
-    std::size_t sent = 0;
-    while (sent < n) {
-        ssize_t rc;
-        if (faultSite) {
-            rc = retryEintr(faultSite, EPIPE, [&] {
-                return ::send(fd, buf + sent, n - sent, MSG_NOSIGNAL);
-            });
-        } else {
-            do {
-                rc = ::send(fd, buf + sent, n - sent, MSG_NOSIGNAL);
-            } while (rc == -1 && errno == EINTR);
-        }
-        if (rc < 0)
-            throwIo("frame send", errno);
-        sent += static_cast<std::size_t>(rc);
-    }
-}
-
 } // namespace
-
-std::optional<std::string>
-readFrame(int fd, std::uint32_t maxFrameBytes, const char *faultSite)
-{
-    unsigned char header[4];
-    const std::size_t got =
-        readAll(fd, reinterpret_cast<char *>(header), sizeof(header),
-                faultSite);
-    if (got == 0)
-        return std::nullopt; // clean EOF at a frame boundary
-    if (got < sizeof(header)) {
-        throw StatusError(Status(
-            StatusCode::IoError,
-            "torn frame: connection closed inside the length prefix"));
-    }
-    const std::uint32_t length =
-        (static_cast<std::uint32_t>(header[0]) << 24) |
-        (static_cast<std::uint32_t>(header[1]) << 16) |
-        (static_cast<std::uint32_t>(header[2]) << 8) |
-        static_cast<std::uint32_t>(header[3]);
-    if (maxFrameBytes != 0 && length > maxFrameBytes) {
-        throw StatusError(Status(
-            StatusCode::InvalidArgument,
-            format("oversized frame: %u bytes declared, limit is %u",
-                   length, maxFrameBytes)));
-    }
-    std::string payload(length, '\0');
-    if (readAll(fd, payload.data(), length, faultSite) < length) {
-        throw StatusError(Status(
-            StatusCode::IoError,
-            "torn frame: connection closed inside the payload"));
-    }
-    return payload;
-}
-
-void
-writeFrame(int fd, const std::string &payload, const char *faultSite)
-{
-    const std::uint32_t length =
-        static_cast<std::uint32_t>(payload.size());
-    std::string frame;
-    frame.reserve(sizeof(std::uint32_t) + payload.size());
-    frame.push_back(static_cast<char>((length >> 24) & 0xff));
-    frame.push_back(static_cast<char>((length >> 16) & 0xff));
-    frame.push_back(static_cast<char>((length >> 8) & 0xff));
-    frame.push_back(static_cast<char>(length & 0xff));
-    frame.append(payload);
-    writeAll(fd, frame.data(), frame.size(), faultSite);
-}
 
 Client
 Client::connect(const std::string &socketPath)
@@ -154,8 +47,11 @@ Client::connect(const std::string &socketPath)
                 socketPath.size() + 1);
 
     const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0)
-        throwIo("socket", errno);
+    if (fd < 0) {
+        throw StatusError(Status(
+            StatusCode::IoError,
+            format("socket failed: %s", errnoText(errno).c_str())));
+    }
     int rc;
     do {
         rc = ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
@@ -206,8 +102,8 @@ Client::setTimeout(std::chrono::milliseconds timeout)
 json::Value
 Client::request(const json::Value &req)
 {
-    writeFrame(fd_, req.serialize());
-    const std::optional<std::string> reply = readFrame(fd_);
+    channel::writeFrame(fd_, req.serialize());
+    const std::optional<std::string> reply = channel::readFrame(fd_);
     if (!reply) {
         throw StatusError(Status(
             StatusCode::IoError,
@@ -219,13 +115,13 @@ Client::request(const json::Value &req)
 void
 Client::sendRaw(const std::string &payload)
 {
-    writeFrame(fd_, payload);
+    channel::writeFrame(fd_, payload);
 }
 
 std::optional<std::string>
 Client::receiveRaw()
 {
-    return readFrame(fd_);
+    return channel::readFrame(fd_);
 }
 
 void

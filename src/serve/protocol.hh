@@ -3,32 +3,18 @@
  * The lkmm-serve wire protocol: length-prefixed JSON frames over a
  * unix-domain stream socket.
  *
- * A frame is a 4-byte big-endian payload length followed by that
- * many bytes of UTF-8 JSON (one json::Value document).  The length
- * prefix makes framing independent of payload content — a malformed
- * JSON body desynchronizes nothing, the server can always read the
- * next frame — and gives the server a cheap admission check: an
- * oversized declared length is rejected *before* a byte of payload
- * is read, so a hostile or buggy client cannot make the daemon
- * buffer arbitrary data.
- *
- * Both directions use the same framing.  readFrame()/writeFrame()
- * are the shared primitives (the server passes its fault-injection
- * site ids so lkmm-chaos can exercise the torn-read/short-write
- * paths); Client is the connect-request-response convenience wrapper
- * used by the CLI client mode, the tests, the chaos workload and the
- * benchmark.
- *
- * Nothing here raises SIGPIPE: writes use send(MSG_NOSIGNAL), so a
- * vanished peer surfaces as an EPIPE IoError — which base/retry
- * classifies as transient, i.e. fatal to this conversation only.
+ * Each frame (base/channel.hh) carries one json::Value document in
+ * UTF-8.  Both directions use the same framing.  The server reads
+ * with its configured cap and passes its fault-injection site ids,
+ * so lkmm-chaos can exercise the torn-read/short-write paths; Client
+ * is the connect-request-response convenience wrapper used by the
+ * CLI client mode, the tests, the chaos workload and the benchmark.
  */
 
 #ifndef LKMM_SERVE_PROTOCOL_HH
 #define LKMM_SERVE_PROTOCOL_HH
 
 #include <chrono>
-#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -36,36 +22,6 @@
 
 namespace lkmm::serve
 {
-
-/** Default cap on a frame's declared payload length (1 MiB). */
-inline constexpr std::uint32_t kDefaultMaxFrameBytes = 1u << 20;
-
-/**
- * Read one frame from fd.
- *
- * Returns nullopt on a clean EOF at a frame boundary (the peer
- * closed between frames — a normal disconnect).  Throws
- * StatusError(IoError) when the connection dies mid-frame (torn
- * header or payload, ECONNRESET, receive timeout) and
- * StatusError(InvalidArgument) when the declared length exceeds
- * maxFrameBytes — in that case no payload bytes have been consumed,
- * but the stream is no longer at a frame boundary, so the caller
- * must close the connection after reporting the error.
- *
- * faultSite, when non-null, names a base/faultinject site consulted
- * around each recv() so chaos schedules can tear the read.
- */
-std::optional<std::string>
-readFrame(int fd, std::uint32_t maxFrameBytes = kDefaultMaxFrameBytes,
-          const char *faultSite = nullptr);
-
-/**
- * Write one frame (header + payload) to fd.  Uses MSG_NOSIGNAL, so
- * a dead peer yields StatusError(IoError) carrying EPIPE instead of
- * killing the process.  faultSite as in readFrame().
- */
-void writeFrame(int fd, const std::string &payload,
-                const char *faultSite = nullptr);
 
 /**
  * A blocking request/response client for one daemon connection.

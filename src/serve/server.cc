@@ -292,8 +292,9 @@ Server::serveConnection(int fd)
     for (;;) {
         std::optional<std::string> payload;
         try {
-            payload = readFrame(fd, opts_.maxFrameBytes,
-                                faultinject::site::kServeRequestRead);
+            payload =
+                channel::readFrame(fd, opts_.maxFrameBytes,
+                                   faultinject::site::kServeRequestRead);
         } catch (const std::exception &e) {
             const Status status = statusOf(e);
             if (status.code() == StatusCode::InvalidArgument) {
@@ -301,7 +302,7 @@ Server::serveConnection(int fd)
                 // before buffering, but the stream is desynced —
                 // report the error, then drop the connection.
                 try {
-                    writeFrame(
+                    channel::writeFrame(
                         fd, errorValue(status).serialize(),
                         faultinject::site::kServeResponseWrite);
                 } catch (...) {
@@ -323,8 +324,8 @@ Server::serveConnection(int fd)
         }
         const json::Value response = handleFrame(*payload);
         try {
-            writeFrame(fd, response.serialize(),
-                       faultinject::site::kServeResponseWrite);
+            channel::writeFrame(fd, response.serialize(),
+                                faultinject::site::kServeResponseWrite);
         } catch (...) {
             // The client died while we replied; the verdict (and
             // any cache insert) is already safe, nobody else is

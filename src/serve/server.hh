@@ -57,6 +57,7 @@
 #include <vector>
 
 #include "base/budget.hh"
+#include "base/channel.hh"
 #include "base/retry.hh"
 #include "base/scheduler.hh"
 #include "serve/cache.hh"
@@ -87,8 +88,8 @@ struct ServeOptions
     std::chrono::milliseconds defaultDeadline{0};
     /** Cap on client-requested deadlines (0 = uncapped). */
     std::chrono::milliseconds maxDeadline{0};
-    /** Frame-size admission check (serve/protocol.hh). */
-    std::uint32_t maxFrameBytes = kDefaultMaxFrameBytes;
+    /** Frame-size admission check (base/channel.hh). */
+    std::uint32_t maxFrameBytes = channel::kDefaultMaxFrameBytes;
     /** Verdict cache configuration. */
     CacheOptions cache;
     /**

@@ -1,20 +1,13 @@
 #include "serve/worker.hh"
 
-#include <poll.h>
-#include <signal.h>
-#include <sys/socket.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <map>
 
-#include "base/eintr.hh"
+#include "base/channel.hh"
 #include "base/faultinject.hh"
 #include "base/rng.hh"
 #include "litmus/parser.hh"
 #include "model/registry.hh"
-#include "serve/protocol.hh"
 
 namespace lkmm::serve
 {
@@ -101,56 +94,21 @@ runOne(const std::string &frame,
 int
 workerMain(int fd)
 {
-    // The daemon installs its own SIGTERM/SIGINT handlers; a worker
-    // must die by default disposition so supervision sees an honest
-    // wait status.  SIGPIPE stays ignored (frames use MSG_NOSIGNAL,
-    // but the engine should not be killable by a stray write).
-    ::signal(SIGTERM, SIG_DFL);
-    ::signal(SIGINT, SIG_DFL);
-    ::signal(SIGPIPE, SIG_IGN);
-    // Drop every inherited descriptor (listening socket, other
-    // clients' connections, the cache journal): a persistent worker
-    // holding them would delay peer EOFs past this worker's
-    // lifetime.
-    subprocess::closeFdsExcept({fd});
-
     // Per-spec model reuse across this worker's lifetime: cat files
     // re-parse per Model instance, and a persistent worker exists
     // precisely to amortize such setup.
     std::map<std::string, std::unique_ptr<Model>> models;
-    for (;;) {
-        std::optional<std::string> frame;
-        try {
-            frame = readFrame(fd, kWorkerMaxFrameBytes);
-        } catch (...) {
-            return 0; // torn channel: parent is gone or recycling
-        }
-        if (!frame)
-            return 0;
-        const std::string reply = runOne(*frame, models);
-        try {
-            // serve-worker-result is the worker-side fault site: an
-            // injected crash/hang here dies exactly like a hostile
-            // input would, and an injected error/enomem makes the
-            // reply undeliverable — all of which the parent must
-            // decode as a worker death, never as a daemon failure.
-            writeFrame(fd, reply, site::kServeWorkerResult);
-        } catch (...) {
-            return subprocess::Child::kCallbackError;
-        }
-    }
-}
-
-void
-setRecvTimeout(int fd, std::chrono::milliseconds timeout)
-{
-    timeval tv{};
-    if (timeout.count() > 0) {
-        tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
-        tv.tv_usec = static_cast<suseconds_t>(
-            (timeout.count() % 1000) * 1000);
-    }
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    // serve-worker-result is the worker-side fault site: an injected
+    // crash/hang there dies exactly like a hostile input would, and
+    // an injected error/enomem makes the reply undeliverable — all
+    // of which the parent must decode as a worker death, never as a
+    // daemon failure.
+    return channel::serveFrames(
+        fd,
+        [&models](const std::string &frame) {
+            return runOne(frame, models);
+        },
+        site::kServeWorkerResult);
 }
 
 } // namespace
@@ -293,82 +251,18 @@ WorkerPool::execute(const WorkerRequest &req)
     }
     const std::string payload = json::Value(std::move(o)).serialize();
 
-    bool dead = false;
-    bool timedOut = false;
-    std::optional<std::string> frame;
-    try {
-        writeFrame(w->child.fd(), payload, site::kServeWorkerDispatch);
-    } catch (const std::exception &e) {
-        dead = true;
-        out.detail = std::string("dispatch write failed: ") + e.what();
-    }
-
-    while (!dead && !timedOut && !frame) {
-        int timeoutMs = -1;
-        if (watchdog) {
-            const auto now = std::chrono::steady_clock::now();
-            if (now >= *watchdog) {
-                timedOut = true;
-                break;
-            }
-            const auto left = std::chrono::duration_cast<
-                std::chrono::milliseconds>(*watchdog - now);
-            timeoutMs = static_cast<int>(
-                std::min<std::int64_t>(left.count() + 1, 60000));
-        }
-        pollfd pfd{};
-        pfd.fd = w->child.fd();
-        pfd.events = POLLIN;
-        const int rc =
-            retryEintr(site::kServeWorkerDispatch, EIO,
-                       [&] { return ::poll(&pfd, 1, timeoutMs); });
-        if (rc < 0) {
-            dead = true;
-            out.detail = std::string("dispatch poll failed: ") +
-                std::strerror(errno);
-            break;
-        }
-        if (rc == 0)
-            continue; // loop re-checks the watchdog
-        // Readable: bound the remaining frame read by the watchdog
-        // so a worker that sent half a frame and wedged still dies
-        // on time.
-        std::chrono::milliseconds recvBudget{0};
-        if (watchdog) {
-            const auto left = std::chrono::duration_cast<
-                std::chrono::milliseconds>(
-                *watchdog - std::chrono::steady_clock::now());
-            recvBudget = std::chrono::milliseconds(
-                std::max<std::int64_t>(left.count(), 1));
-        }
-        setRecvTimeout(w->child.fd(), recvBudget);
-        try {
-            frame = readFrame(w->child.fd(), kWorkerMaxFrameBytes,
-                              site::kServeWorkerDispatch);
-            if (!frame) {
-                dead = true;
-                out.detail = "worker closed the channel mid-request";
-            }
-        } catch (const std::exception &e) {
-            if (watchdog &&
-                std::chrono::steady_clock::now() >= *watchdog) {
-                timedOut = true;
-            } else {
-                dead = true;
-                out.detail =
-                    std::string("result read failed: ") + e.what();
-            }
-        }
-    }
-
-    if (!dead && !timedOut && frame) {
+    const channel::Reply reply = channel::call(
+        w->child, payload, watchdog, site::kServeWorkerDispatch);
+    bool dead = !reply.frame;
+    out.detail = reply.detail;
+    if (reply.frame) {
         // The worker answered.  A garbled reply still counts as a
         // worker failure (the channel is trusted, so this means the
         // worker is sick) — decode defensively.
         try {
-            const json::Value reply = json::Value::parse(*frame);
-            if (reply.getBool("ok", false)) {
-                const json::Value *result = reply.get("result");
+            const json::Value decoded = json::Value::parse(*reply.frame);
+            if (decoded.getBool("ok", false)) {
+                const json::Value *result = decoded.get("result");
                 if (result == nullptr)
                     throw StatusError(Status(
                         StatusCode::Internal,
@@ -378,48 +272,32 @@ WorkerPool::execute(const WorkerRequest &req)
             } else {
                 out.kind = WorkerOutcome::Kind::Error;
                 out.error = Status(
-                    statusCodeFromName(reply.getString("code"))
+                    statusCodeFromName(decoded.getString("code"))
                         .value_or(StatusCode::Internal),
-                    reply.getString("message"));
+                    decoded.getString("message"));
             }
             std::lock_guard<std::mutex> lock(mutex_);
             stats_.consecutiveCrashes = 0;
             ++w->served;
         } catch (const std::exception &e) {
             dead = true;
-            out.detail =
-                std::string("garbled worker reply: ") + e.what();
+            out.detail = std::string("garbled worker reply: ") +
+                e.what() + " (" + channel::reap(w->child) + ")";
         }
     }
 
-    if (dead || timedOut) {
-        // Worker death: SIGKILL (a no-op if it is already gone),
-        // reap, decode through the subprocess taxonomy, leave the
-        // deficit to the supervisor.  The response — one sound
-        // Unknown for this one client — is on its way regardless, so
-        // a kill or reap that fails is just more of this death.
-        std::string reaped;
-        try {
-            if (timedOut)
-                w->child.killTimedOut();
-            else
-                w->child.kill();
-            reaped = w->child.finish().describe();
-        } catch (const std::exception &e) {
-            reaped = std::string("reap failed: ") + e.what();
-        }
-        out.kind = timedOut ? WorkerOutcome::Kind::TimedOut
-                            : WorkerOutcome::Kind::Crashed;
-        if (out.detail.empty())
-            out.detail = reaped;
-        else
-            out.detail += " (" + reaped + ")";
+    if (dead) {
+        // Worker death, already reaped and decoded: one sound
+        // Unknown for this one client, and the deficit goes to the
+        // supervisor.
+        out.kind = reply.timedOut ? WorkerOutcome::Kind::TimedOut
+                                  : WorkerOutcome::Kind::Crashed;
         // Declared before the lock, so destroyed after it is
         // released: a reap its destructor still owes blocks outside
         // the pool mutex.
         std::unique_ptr<Worker> corpse;
         std::lock_guard<std::mutex> lock(mutex_);
-        if (timedOut)
+        if (reply.timedOut)
             ++stats_.timeouts;
         else
             ++stats_.crashes;

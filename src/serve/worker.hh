@@ -12,10 +12,11 @@
  * is paid per worker lifetime, not per request.
  *
  * Mechanics: each worker is a subprocess::Child — a forked copy of
- * the daemon whose socketpair channel speaks the serve wire format
- * (serve/protocol.hh length-prefixed JSON frames) until EOF.  The
- * parent owns the watchdog: it polls the channel under the request
- * deadline plus a grace, and SIGKILLs a worker that overruns it.
+ * the daemon that answers JSON frames on its socketpair channel
+ * until EOF, through base/channel's persistent body and request/reply
+ * call.  The parent owns the watchdog: it waits for each reply under
+ * the request deadline plus a grace, and SIGKILLs a worker that
+ * overruns it.
  * Every way a worker can die maps onto the subprocess exit taxonomy
  * and from there onto a sound degraded response:
  *
@@ -73,13 +74,6 @@
 
 namespace lkmm::serve
 {
-
-/**
- * Frame cap on the worker channel.  Larger than the client-facing
- * default: the channel is trusted (both ends are this codebase) and
- * a result's states array can outgrow a request.
- */
-inline constexpr std::uint32_t kWorkerMaxFrameBytes = 8u << 20;
 
 struct WorkerOptions
 {

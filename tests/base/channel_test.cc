@@ -1,9 +1,10 @@
 /**
  * @file
- * The lkmm-serve wire framing (serve/protocol): round trips, clean
- * EOF vs torn frame, and the oversized-length admission check.  All
- * over socketpair(2), so no daemon is involved — Server end-to-end
- * behaviour lives in server_test.cc.
+ * Length-prefixed framing (base/channel): round trips, clean EOF vs
+ * torn frame, and the oversized-length admission check.  All over
+ * socketpair(2), so no daemon or child is involved — the persistent
+ * request/reply loop is exercised through its callers' tests
+ * (serve/worker_test.cc, fuzz/campaign_test.cc).
  */
 
 #include <gtest/gtest.h>
@@ -16,9 +17,9 @@
 #include <unistd.h>
 
 #include "base/status.hh"
-#include "serve/protocol.hh"
+#include "base/channel.hh"
 
-namespace lkmm::serve
+namespace lkmm::channel
 {
 namespace
 {
@@ -126,4 +127,4 @@ TEST(Framing, WriteToClosedPeerIsIoErrorNotSigpipe)
 }
 
 } // namespace
-} // namespace lkmm::serve
+} // namespace lkmm::channel

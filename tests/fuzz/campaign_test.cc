@@ -4,11 +4,20 @@
  * (--seed, iteration), campaigns with a seeded model bug land the
  * same buckets on every run, journals resume exactly, and a
  * minimized repro re-triggers its finding when replayed standalone —
- * the full reproducibility contract of tools/lkmm-fuzz.
+ * the full reproducibility contract of tools/lkmm-fuzz.  Sandboxed
+ * campaigns run their sides in one persistent worker fed with
+ * printed litmus text: the text carries everything a side sees, the
+ * worker's crashes and hangs give the one-shot path's findings, a
+ * death only the worker suffers is counted instead, and no child
+ * outlives the campaign.
  */
 
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <set>
 #include <string>
@@ -16,9 +25,11 @@
 
 #include <gtest/gtest.h>
 
+#include "base/faultinject.hh"
 #include "base/status.hh"
 #include "fuzz/campaign.hh"
 #include "fuzz/mutator.hh"
+#include "fuzz/report.hh"
 #include "litmus/parser.hh"
 #include "litmus/printer.hh"
 
@@ -228,6 +239,180 @@ TEST(Campaign, MinimizedReproRetriggersStandalone)
             << rep.minimized;
         EXPECT_EQ(finding->signature(), sig);
     }
+}
+
+/**
+ * The side worker evaluates the candidate's printed text, not the
+ * Program the campaign drew, so printing must lose nothing a side
+ * can see: every side of every sound oracle returns the same
+ * in-process outcome on both, and printing is a fixpoint.
+ */
+class SideTransport : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(SideTransport, PrintedTextGivesEverySideTheSameOutcome)
+{
+    const std::uint64_t seed = GetParam();
+    const std::vector<Program> pool = builtinSeedPrograms();
+    const std::vector<Oracle> oracles =
+        makeOracles("native-vs-cat,rf-first-vs-brute,mono-sc-lkmm,"
+                    "mono-sc-tso,sc-vs-operational");
+    OracleOptions opts;
+    opts.isolate = false;
+    std::size_t compared = 0;
+    for (std::uint64_t iter = 0; iter < 500; ++iter) {
+        const std::optional<Program> cand = candidateFor(seed, iter, pool);
+        if (!cand)
+            continue;
+        SCOPED_TRACE("iter " + std::to_string(iter));
+        const std::string text = printLitmus(*cand);
+        const Program reparsed = parseLitmus(text);
+        ASSERT_EQ(printLitmus(reparsed), text);
+        opts.seed = mixSeed(seed, iter);
+        for (const Oracle &o : oracles) {
+            for (const OracleSide *side : {&o.a, &o.b}) {
+                const SideOutcome direct = runSide(*side, *cand, opts);
+                const SideOutcome printed =
+                    runSide(*side, reparsed, opts);
+                EXPECT_EQ(printed.kind, direct.kind) << side->label;
+                EXPECT_EQ(printed.verdict, direct.verdict) << side->label;
+                EXPECT_EQ(printed.detail, direct.detail) << side->label;
+                ++compared;
+            }
+        }
+    }
+    EXPECT_GT(compared, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SideTransport,
+                         ::testing::Values(1, 2, 7919));
+
+/**
+ * Sandboxed campaigns (isolate, jobs == 1) run their sides in one
+ * persistent worker.  The fault plans are armed in this process:
+ * the worker and every one-shot child inherit them over fork, and
+ * the campaign itself never enumerates, so its own hit counters
+ * stay at zero.
+ */
+class SandboxedCampaign : public ::testing::Test
+{
+  protected:
+    void TearDown() override { faultinject::reset(); }
+
+    /** The fuzz-<k> candidate of seed 1 the plans target. */
+    static constexpr std::uint64_t kTarget = 2;
+
+    static Program
+    target()
+    {
+        const auto cand = candidateFor(1, kTarget, builtinSeedPrograms());
+        EXPECT_TRUE(cand.has_value());
+        return cand.value_or(Program{});
+    }
+
+    static FuzzOptions
+    sandboxedOpts(std::uint64_t maxIters)
+    {
+        FuzzOptions opts;
+        opts.seed = 1;
+        opts.maxIters = maxIters;
+        opts.minimize = false;
+        opts.oracle.deadline = std::chrono::seconds(20);
+        return opts;
+    }
+
+    /** waitpid fails with ECHILD only when no child, live or
+     *  unreaped, is left. */
+    static void
+    expectNoChildren()
+    {
+        errno = 0;
+        EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+        EXPECT_EQ(errno, ECHILD);
+    }
+};
+
+TEST_F(SandboxedCampaign, InjectedCrashGivesTheOneShotBuckets)
+{
+    const Program prog = target();
+    faultinject::setPlan(
+        faultinject::FaultPlan::parse("enumerate:1:crash"));
+    faultinject::setFilter(prog.name);
+
+    // The one-shot path: each side in a fresh child of its own.
+    const FuzzOptions opts = sandboxedOpts(kTarget + 4);
+    std::set<std::string> expected;
+    for (const Finding &f :
+         runOracles(makeOracles(opts.oracles), prog, opts.oracle))
+        expected.insert(f.signature());
+    ASSERT_FALSE(expected.empty());
+
+    const FuzzReport report = runFuzz(opts);
+    EXPECT_EQ(report.iters, kTarget + 4);
+    EXPECT_EQ(signaturesOf(report), expected);
+    EXPECT_EQ(report.triage.totalFindings(), expected.size());
+    EXPECT_EQ(report.unconfirmedDeaths, 0u);
+    expectNoChildren();
+}
+
+TEST_F(SandboxedCampaign, InjectedHangTimesOutAndTheCampaignGoesOn)
+{
+    faultinject::setPlan(
+        faultinject::FaultPlan::parse("enumerate:1:hang"));
+    faultinject::setFilter(target().name);
+
+    FuzzOptions opts = sandboxedOpts(kTarget + 4);
+    opts.oracles = "native-vs-cat";
+    opts.oracle.deadline = std::chrono::milliseconds(500);
+    const FuzzReport report = runFuzz(opts);
+    EXPECT_EQ(report.iters, kTarget + 4);
+    EXPECT_EQ(signaturesOf(report),
+              std::set<std::string>{
+                  "native-vs-cat/timeout/native-lkmm:deadline"});
+    expectNoChildren();
+}
+
+TEST_F(SandboxedCampaign, WorkerOnlyDeathIsCountedNotReported)
+{
+    // Each side passes "enumerate" once.  The worker's counter
+    // carries over from side a to side b, so it dies on side b; the
+    // one-shot re-run of side b starts from the campaign's zero
+    // count, passes the site once and finishes.
+    faultinject::setPlan(
+        faultinject::FaultPlan::parse("enumerate:2:crash"));
+    faultinject::setFilter(target().name);
+
+    FuzzOptions opts = sandboxedOpts(kTarget + 4);
+    opts.oracles = "native-vs-cat";
+    const FuzzReport report = runFuzz(opts);
+    EXPECT_EQ(report.iters, kTarget + 4);
+    EXPECT_EQ(report.triage.totalFindings(), 0u);
+    EXPECT_EQ(report.unconfirmedDeaths, 1u);
+    expectNoChildren();
+
+    // Both summaries show the count.
+    EXPECT_EQ(toJson(report).getInt("unconfirmedDeaths"), 1);
+    std::FILE *out = std::tmpfile();
+    ASSERT_NE(out, nullptr);
+    printText(out, report);
+    std::rewind(out);
+    char line[256] = {};
+    std::string text;
+    while (std::fgets(line, sizeof line, out))
+        text += line;
+    std::fclose(out);
+    EXPECT_NE(text.find("1 unconfirmed worker deaths"), std::string::npos)
+        << text;
+}
+
+TEST_F(SandboxedCampaign, NoChildOutlivesTheCampaign)
+{
+    const FuzzReport report = runFuzz(sandboxedOpts(30));
+    EXPECT_EQ(report.iters, 30u);
+    EXPECT_EQ(report.triage.totalFindings(), 0u);
+    EXPECT_EQ(report.unconfirmedDeaths, 0u);
+    expectNoChildren();
 }
 
 TEST(TriageDb, DeduplicatesBySignature)

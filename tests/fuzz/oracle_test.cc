@@ -124,7 +124,7 @@ TEST_F(OracleTest, CrashingSideBecomesFinding)
     faultinject::setFilter(prog.name);
 
     OracleOptions opts; // isolate = true: the sandbox must contain it
-    opts.limits.deadline = std::chrono::seconds(20);
+    opts.deadline = std::chrono::seconds(20);
     const auto oracles = makeOracles("native-vs-cat");
     const auto finding = runOracle(oracles[0], prog, opts);
     ASSERT_TRUE(finding);
@@ -141,7 +141,7 @@ TEST_F(OracleTest, HangingSideBecomesTimeoutFinding)
     faultinject::setFilter(prog.name);
 
     OracleOptions opts;
-    opts.limits.deadline = std::chrono::milliseconds(500);
+    opts.deadline = std::chrono::milliseconds(500);
     const auto oracles = makeOracles("native-vs-cat");
     const auto finding = runOracle(oracles[0], prog, opts);
     ASSERT_TRUE(finding);

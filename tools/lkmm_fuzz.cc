@@ -93,15 +93,19 @@ usage()
         "                      report; verifies a repro standalone\n"
         "\n"
         "sandbox/budgets:\n"
-        "  --no-isolate        evaluate oracles in-process (faster,\n"
-        "                      but a crash kills the campaign)\n"
+        "  By default one persistent worker process evaluates every\n"
+        "  oracle side.  A side it dies or hangs on is re-run in a\n"
+        "  fresh child, and only a failure that child repeats is a\n"
+        "  finding; the summary counts the deaths it did not repeat.\n"
+        "  --no-isolate        evaluate oracles in-process (a crash\n"
+        "                      kills the campaign)\n"
         "  --jobs N            evaluate N candidates concurrently\n"
         "                      (0 = all hardware threads); implies\n"
         "                      --no-isolate, since forking from pool\n"
         "                      threads is unsafe.  Findings and the\n"
         "                      journal stay in iteration order\n"
-        "  --task-deadline-ms N  per-side watchdog deadline\n"
-        "                      (default 10000)\n"
+        "  --task-deadline-ms N  per-side watchdog deadline, the\n"
+        "                      only sandbox cap (default 10000)\n"
         "  --max-candidates N  per-side candidate cap\n"
         "                      (default 200000)\n"
         "\n"
@@ -143,7 +147,7 @@ main(int argc, char **argv)
     using namespace lkmm;
 
     fuzz::FuzzOptions opts;
-    opts.oracle.limits.deadline = std::chrono::milliseconds(10000);
+    opts.oracle.deadline = std::chrono::milliseconds(10000);
     opts.oracle.engine.budget.maxCandidates = 200000;
     std::string summaryFormat = "text";
     std::string replayFile;
@@ -189,7 +193,7 @@ main(int argc, char **argv)
                         ThreadPool::hardwareThreads());
                 }
             } else if (arg == "--task-deadline-ms")
-                opts.oracle.limits.deadline =
+                opts.oracle.deadline =
                     parseDuration<std::chrono::milliseconds>(arg, next());
             else if (arg == "--max-candidates")
                 opts.oracle.engine.parseFlag("--engine-max-candidates",
