@@ -29,7 +29,7 @@ using namespace lkmm;
  * Sweep the catalog `copies` times over `jobs` workers and return
  * the number of tests checked.  Each run builds a fresh runner (the
  * queue is consumed by run()) but the models come from per-worker
- * factories, exactly as lkmm-sweep --isolation inproc-parallel does.
+ * factories, exactly as an in-process lkmm-sweep --jobs N does.
  */
 std::size_t
 sweepOnce(int jobs, int copies)
@@ -38,8 +38,7 @@ sweepOnce(int jobs, int copies)
         ModelRegistry::instance().make("lkmm");
 
     BatchOptions opts;
-    opts.isolation = jobs > 1 ? IsolationMode::InProcessParallel
-                              : IsolationMode::InProcess;
+    opts.isolation = IsolationMode::InProcessParallel;
     opts.workers = jobs;
     opts.modelFactory = ModelRegistry::instance().factoryFor("lkmm");
 

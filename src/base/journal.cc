@@ -118,18 +118,21 @@ recover(const std::string &path)
 {
     faultinject::checkSite(faultinject::site::kJournalRecover,
                            path.c_str());
-    RecoverResult result;
-
     std::ifstream in(path, std::ios::binary);
     if (!in.is_open()) {
         // Missing file == empty journal; any other failure mode
         // (EACCES, EISDIR) also lands here but surfaces on the
         // Writer open, which reports errno.
-        return result;
+        return RecoverResult{};
     }
-    std::string content((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
+    return recoverBytes(std::string(std::istreambuf_iterator<char>(in),
+                                    std::istreambuf_iterator<char>()));
+}
 
+RecoverResult
+recoverBytes(const std::string &content)
+{
+    RecoverResult result;
     std::uint64_t offset = 0;
     while (offset < content.size()) {
         const std::size_t nl = content.find('\n', offset);

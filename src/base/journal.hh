@@ -84,9 +84,16 @@ struct RecoverResult
 /**
  * Read back a journal, tolerating a torn tail.  A missing file is
  * an empty journal, not an error; an unreadable file throws
- * StatusError(IoError).
+ * StatusError(IoError).  The read is the journal-recover fault site;
+ * the bytes then go through recoverBytes().
  */
 RecoverResult recover(const std::string &path);
+
+/**
+ * Recover journal content already in memory: the longest prefix of
+ * intact lines, exactly as recover() does for the same bytes on disk.
+ */
+RecoverResult recoverBytes(const std::string &content);
 
 /** How hard append() pushes a record toward the platter. */
 enum class Durability

@@ -10,7 +10,7 @@ ThreadPool::ThreadPool(std::size_t threads)
     const std::size_t n = std::max<std::size_t>(1, threads);
     workers_.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
+        workers_.emplace_back([this, i] { workerLoop(i); });
 }
 
 ThreadPool::~ThreadPool()
@@ -25,7 +25,7 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::post(std::function<void()> task)
+ThreadPool::post(std::function<void(std::size_t)> task)
 {
     faultinject::checkSite(faultinject::site::kSchedulerPost);
     {
@@ -42,10 +42,10 @@ ThreadPool::hardwareThreads()
 }
 
 void
-ThreadPool::workerLoop()
+ThreadPool::workerLoop(std::size_t thread)
 {
     for (;;) {
-        std::function<void()> task;
+        std::function<void(std::size_t)> task;
         {
             std::unique_lock<std::mutex> lock(mu_);
             cv_.wait(lock,
@@ -59,7 +59,7 @@ ThreadPool::workerLoop()
             queue_.pop_front();
         }
         try {
-            task();
+            task(thread);
         } catch (...) {
             // post()'s contract says tasks capture their own
             // exceptions; if one leaks anyway, losing it beats

@@ -10,14 +10,18 @@
  * tasks across it with results delivered *in submission order*,
  * regardless of the order in which workers finish them.  That
  * ordering guarantee is what lets a parallel sweep produce a report
- * byte-identical to the sequential one (see DESIGN.md "In-process
+ * byte-identical to the one-thread sweep (see DESIGN.md "In-process
  * parallel verification").
  *
  * ThreadPool is deliberately minimal: post() enqueues a task, the
  * destructor drains the queue and joins.  parallelIndexed() is the
- * fork-join layer every caller actually uses; exceptions thrown by a
- * task are captured and the lowest-index one is rethrown after all
- * tasks have settled, so error reporting is deterministic too.
+ * fork-join layer every caller uses, and the only code outside the
+ * tests that calls post().  Each task learns the index of the pool
+ * thread running it, which callers use to give every thread its own
+ * per-thread state (a model instance, an oracle set) without a lock.
+ * Exceptions thrown by a task are captured and the lowest-index one
+ * is rethrown after all tasks have settled, so error reporting is
+ * deterministic too.
  */
 
 #ifndef LKMM_BASE_SCHEDULER_HH
@@ -55,33 +59,39 @@ class ThreadPool
     std::size_t size() const { return workers_.size(); }
 
     /**
-     * Enqueue one task; runs on some worker, FIFO dispatch.  Tasks
-     * should capture their own exceptions (parallelIndexed does); one
-     * that throws anyway is swallowed by the worker rather than
-     * terminating the process.  post() itself can throw (allocation
-     * failure, injected scheduler-post fault), in which case the task
-     * was NOT enqueued and will never run — callers joining on a
-     * fixed task count must account for that (see parallelIndexed).
+     * Enqueue one task; runs on some worker, FIFO dispatch, and is
+     * passed that worker's index in [0, size()).  A worker runs one
+     * task at a time, so no two running tasks hold the same index.
+     * Tasks should capture their own exceptions (parallelIndexed
+     * does); one that throws anyway is swallowed by the worker rather
+     * than terminating the process.  post() itself can throw
+     * (allocation failure, injected scheduler-post fault), in which
+     * case the task was NOT enqueued and will never run — callers
+     * joining on a fixed task count must account for that (see
+     * parallelIndexed).
      */
-    void post(std::function<void()> task);
+    void post(std::function<void(std::size_t thread)> task);
 
     /** std::thread::hardware_concurrency, clamped to at least 1. */
     static std::size_t hardwareThreads();
 
   private:
-    void workerLoop();
+    void workerLoop(std::size_t thread);
 
     std::mutex mu_;
     std::condition_variable cv_;
-    std::deque<std::function<void()>> queue_;
+    std::deque<std::function<void(std::size_t)>> queue_;
     bool stop_ = false;
     std::vector<std::thread> workers_;
 };
 
 /**
- * Run fn(0), ..., fn(n-1) across the pool and block until all have
- * settled.  Results come back indexed by submission order: element i
- * is fn(i)'s return value, whatever order the workers finished in.
+ * Run fn(0, t0), ..., fn(n-1, tn-1) across the pool and block until
+ * all have settled, where ti is the index of the pool thread running
+ * task i (ThreadPool::post's contract: in [0, pool.size()), never
+ * shared by two running tasks).  Results come back indexed by
+ * submission order: element i is fn(i, ti)'s return value, whatever
+ * order the workers finished in.
  *
  * If any task throws, every task still runs to completion (no
  * cancellation is implied — callers wanting early exit check their
@@ -95,9 +105,9 @@ class ThreadPool
 template <typename Fn>
 auto
 parallelIndexed(ThreadPool &pool, std::size_t n, Fn &&fn)
-    -> std::vector<std::invoke_result_t<Fn &, std::size_t>>
+    -> std::vector<std::invoke_result_t<Fn &, std::size_t, std::size_t>>
 {
-    using R = std::invoke_result_t<Fn &, std::size_t>;
+    using R = std::invoke_result_t<Fn &, std::size_t, std::size_t>;
     static_assert(!std::is_void_v<R>,
                   "parallelIndexed tasks must return a value");
 
@@ -120,13 +130,13 @@ parallelIndexed(ThreadPool &pool, std::size_t n, Fn &&fn)
     try {
         for (; posted < n; ++posted) {
             const std::size_t i = posted;
-            pool.post([&join, &fn, i]() {
+            pool.post([&join, &fn, i](std::size_t thread) {
                 std::optional<R> result;
                 std::exception_ptr error;
                 try {
                     faultinject::checkSite(
                         faultinject::site::kSchedulerTask);
-                    result.emplace(fn(i));
+                    result.emplace(fn(i, thread));
                 } catch (...) {
                     error = std::current_exception();
                 }

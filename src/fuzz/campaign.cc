@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -150,9 +149,9 @@ runFuzz(const FuzzOptions &opts)
         static_cast<std::size_t>(std::max(1, opts.jobs));
     const std::vector<Program> pool = builtinSeedPrograms();
 
-    // One oracle set per worker: the model sides are stateless, but
-    // independent instances keep workers fully decoupled (and match
-    // the batch engine's per-worker-model design).
+    // One oracle set per pool thread: the model sides are stateless,
+    // but independent instances keep threads fully decoupled (and
+    // match the batch engine's per-thread models).
     std::vector<std::vector<Oracle>> oracleSets;
     for (std::size_t i = 0; i < jobs; ++i)
         oracleSets.push_back(makeOracles(oracleSpec, opts.catModelDir));
@@ -271,10 +270,6 @@ runFuzz(const FuzzOptions &opts)
     // (they rerun on resume — the candidate stream is a function of
     // (seed, iter), so nothing is lost).
     ThreadPool workers(jobs);
-    std::mutex slotMu;
-    std::vector<std::size_t> freeSlots;
-    for (std::size_t i = 0; i < jobs; ++i)
-        freeSlots.push_back(i);
 
     std::uint64_t iter = report.startIter;
     while (iter < maxIters) {
@@ -290,23 +285,12 @@ runFuzz(const FuzzOptions &opts)
             std::min<std::uint64_t>(maxIters - iter, jobs * 2);
         auto results = parallelIndexed(
             workers, static_cast<std::size_t>(chunk),
-            [&](std::size_t k)
+            [&](std::size_t k, std::size_t thread)
                 -> std::optional<std::vector<FuzzFinding>> {
                 if (opts.cancel && opts.cancel->cancelled())
                     return std::nullopt;
-                std::size_t slot;
-                {
-                    std::lock_guard<std::mutex> lock(slotMu);
-                    slot = freeSlots.back();
-                    freeSlots.pop_back();
-                }
-                std::vector<FuzzFinding> found =
-                    evalIter(iter + k, oracleSets[slot]);
-                {
-                    std::lock_guard<std::mutex> lock(slotMu);
-                    freeSlots.push_back(slot);
-                }
-                return found;
+                // Each pool thread owns the oracle set at its index.
+                return evalIter(iter + k, oracleSets[thread]);
             });
         bool stopped = false;
         for (std::uint64_t k = 0; k < chunk; ++k) {

@@ -1,6 +1,7 @@
 #include "lkmm/batch.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -269,29 +270,6 @@ BatchRunner::record(const std::string &name, ItemOutcome outcome,
 }
 
 void
-BatchRunner::runInProcess(std::vector<Item *> &pending,
-                          std::map<std::string, ItemOutcome> &outcomes,
-                          journal::Writer *writer, BatchReport &report,
-                          BudgetTracker *sweepTracker)
-{
-    for (Item *item : pending) {
-        if (cancelled()) {
-            report.cancelled = true;
-            return;
-        }
-        if (sweepTracker && !sweepTracker->checkNow())
-            return; // run() reports the tripped bound
-        std::optional<ItemOutcome> outcome =
-            runItem(*item, model_, opts_.crossCheck, sweepTracker);
-        if (!outcome) {
-            report.cancelled = cancelled();
-            return;
-        }
-        record(item->name, std::move(*outcome), outcomes, writer);
-    }
-}
-
-void
 BatchRunner::runParallel(std::vector<Item *> &pending,
                          std::map<std::string, ItemOutcome> &outcomes,
                          journal::Writer *writer, BatchReport &report,
@@ -300,10 +278,9 @@ BatchRunner::runParallel(std::vector<Item *> &pending,
     const std::size_t jobs =
         static_cast<std::size_t>(std::max(1, opts_.workers));
 
-    // One model instance per worker slot.  The pool runs at most
-    // `jobs` tasks at once, so a free slot always exists when a task
-    // starts; the slot free-list hands each running task exclusive
-    // use of one primary (and one reference) instance.
+    // One model instance per pool thread, picked by the thread index
+    // parallelIndexed passes each task: a running task has its
+    // thread's primary (and reference) instance to itself.
     std::vector<std::unique_ptr<Model>> primaries;
     std::vector<std::unique_ptr<Model>> references;
     for (std::size_t i = 0; i < jobs; ++i) {
@@ -314,45 +291,43 @@ BatchRunner::runParallel(std::vector<Item *> &pending,
                                  : nullptr);
     }
 
-    std::mutex slotMu;
-    std::vector<std::size_t> freeSlots;
-    for (std::size_t i = 0; i < jobs; ++i)
-        freeSlots.push_back(i);
-
     // Serializes the journal writer and the outcome map.  Writes
     // land in completion order, which resume tolerates (recovery is
     // keyed by test name); report order is fixed by run()'s
-    // queue-order assembly, so the report is verdict-identical to a
-    // sequential sweep.
+    // queue-order assembly, so the report is verdict-identical
+    // whatever the thread count.
     std::mutex recordMu;
+    // Set when a failure escapes a test (a journal append that
+    // throws, say): no later test starts, and parallelIndexed
+    // rethrows the failure out of run().
+    std::atomic<bool> failed{false};
 
     ThreadPool pool(jobs);
-    parallelIndexed(pool, pending.size(), [&](std::size_t i) {
-        if (cancelled() || (sweepTracker && sweepTracker->exhausted()))
+    parallelIndexed(pool, pending.size(),
+                    [&](std::size_t i, std::size_t thread) {
+        // Polled before every test, so a sweep deadline or Ctrl-C
+        // between tests stops dispatch before the next one starts.
+        if (failed.load() || cancelled() ||
+            (sweepTracker && !sweepTracker->checkNow()))
             return false;
-
-        std::size_t slot;
-        {
-            std::lock_guard<std::mutex> lock(slotMu);
-            slot = freeSlots.back();
-            freeSlots.pop_back();
+        try {
+            const Model &model =
+                primaries[thread] ? *primaries[thread] : model_;
+            const Model *cross = references[thread]
+                ? references[thread].get()
+                : opts_.crossCheck;
+            std::optional<ItemOutcome> outcome =
+                runItem(*pending[i], model, cross, sweepTracker);
+            if (!outcome)
+                return false;
+            std::lock_guard<std::mutex> lock(recordMu);
+            record(pending[i]->name, std::move(*outcome), outcomes,
+                   writer);
+            return true;
+        } catch (...) {
+            failed.store(true);
+            throw;
         }
-        const Model &model =
-            primaries[slot] ? *primaries[slot] : model_;
-        const Model *cross = references[slot] ? references[slot].get()
-                                              : opts_.crossCheck;
-        std::optional<ItemOutcome> outcome =
-            runItem(*pending[i], model, cross, sweepTracker);
-        {
-            std::lock_guard<std::mutex> lock(slotMu);
-            freeSlots.push_back(slot);
-        }
-        if (!outcome)
-            return false;
-
-        std::lock_guard<std::mutex> lock(recordMu);
-        record(pending[i]->name, std::move(*outcome), outcomes, writer);
-        return true;
     });
     report.cancelled = cancelled();
 }
@@ -587,9 +562,6 @@ BatchRunner::run()
         break;
       case IsolationMode::InProcessParallel:
         runParallel(pending, outcomes, w, report, tracker);
-        break;
-      case IsolationMode::InProcess:
-        runInProcess(pending, outcomes, w, report, tracker);
         break;
     }
     if (tracker)

@@ -28,12 +28,13 @@
  *    flight; a SIGSEGV or OOM kill in one test becomes a
  *    TestFailure{phase:"crash"} record, a deadline overrun a
  *    TestFailure{phase:"timeout"}, and the sweep continues;
- *  - in-process parallelism (IsolationMode::InProcessParallel): up
- *    to `workers` tests checked concurrently on a shared thread
- *    pool (base/scheduler.hh), each on its own Model instance
- *    (BatchOptions::modelFactory) with its own Enumerator; journal
- *    writes are serialized through the single writer, and the
- *    report is verdict-identical to the sequential sweep;
+ *  - in-process checking (IsolationMode::InProcessParallel, the
+ *    default): up to `workers` tests (default 1) checked
+ *    concurrently on a thread pool (base/scheduler.hh), each pool
+ *    thread on its own Model instance (BatchOptions::modelFactory)
+ *    with its own Enumerator; journal writes are serialized through
+ *    the single writer, and the report is verdict-identical at
+ *    every thread count;
  *  - sweep-wide budgets (BatchOptions::sweepBudget): one shared
  *    BudgetTracker charged by every worker; the first bound tripped
  *    wins and stops the whole sweep, with the unfinished tests left
@@ -167,15 +168,13 @@ struct BatchReport
 /** Where a queued test executes. */
 enum class IsolationMode
 {
-    /** In the calling process: fastest, no crash protection. */
-    InProcess,
     /** One forked, rlimited, watchdog-supervised child per test. */
     Forked,
     /**
      * In the calling process, `workers` tests at a time on a thread
-     * pool: the throughput mode for trusted corpora.  No crash
-     * protection — one segfaulting test takes the sweep down, use
-     * Forked for hostile input.
+     * pool: the fast mode for trusted corpora.  No crash protection
+     * — one segfaulting test takes the sweep down, use Forked for
+     * hostile input.
      */
     InProcessParallel,
 };
@@ -204,21 +203,21 @@ struct BatchOptions
     const Model *crossCheck = nullptr;
 
     /**
-     * Factory for per-worker primary-model instances
+     * Factory for per-thread primary-model instances
      * (InProcessParallel).  When unset, the constructor's model is
-     * shared across workers — sound for the stateless in-tree
+     * shared across pool threads — sound for the stateless in-tree
      * models, but a factory (e.g. ModelRegistry::factoryFor) keeps
-     * workers fully independent.
+     * threads fully independent.
      */
     ModelFactory modelFactory;
     /**
-     * Factory for per-worker reference-model instances; when unset,
-     * parallel workers share `crossCheck`.
+     * Factory for per-thread reference-model instances; when unset,
+     * pool threads share `crossCheck`.
      */
     ModelFactory crossCheckFactory;
 
     /** Execution mode; Forked adds crash isolation. */
-    IsolationMode isolation = IsolationMode::InProcess;
+    IsolationMode isolation = IsolationMode::InProcessParallel;
     /** Concurrent children (Forked) or threads (InProcessParallel). */
     int workers = 1;
 
@@ -335,10 +334,6 @@ class BatchRunner
                        std::map<std::string, ItemOutcome> &outcomes,
                        journal::Writer *writer);
 
-    void runInProcess(std::vector<Item *> &pending,
-                      std::map<std::string, ItemOutcome> &outcomes,
-                      journal::Writer *writer, BatchReport &report,
-                      BudgetTracker *sweepTracker);
     void runParallel(std::vector<Item *> &pending,
                      std::map<std::string, ItemOutcome> &outcomes,
                      journal::Writer *writer, BatchReport &report,

@@ -5,14 +5,13 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <future>
 #include <utility>
 
 #include "base/eintr.hh"
 #include "base/faultinject.hh"
+#include "base/scheduler.hh"
 #include "base/status.hh"
 #include "base/strutil.hh"
 #include "litmus/parser.hh"
@@ -121,12 +120,11 @@ Server::Server(ServeOptions opts)
     // the default model spec, the cache journal, then the socket.
     validateSpec(opts_.model);
     cache_.emplace(opts_.cache);
-    // One isolated worker process per dispatch thread, with the
-    // count-based poison-pill quarantine in front of them.  Spawn
-    // failures don't throw — the pool starts degraded and its
-    // supervisor heals it with backoff.  Constructed before the
-    // ThreadPool so the initial forks happen while this process is
-    // still single-threaded.
+    // The isolated worker processes, with the count-based poison-pill
+    // quarantine in front of them.  Spawn failures don't throw — the
+    // pool starts degraded and its supervisor heals it with backoff.
+    // Constructed before start() so the initial forks happen while
+    // this process is still single-threaded.
     WorkerOptions wo;
     wo.count = opts_.workers == 0 ? ThreadPool::hardwareThreads()
                                   : opts_.workers;
@@ -135,7 +133,6 @@ Server::Server(ServeOptions opts)
     wo.defaultDeadline = opts_.workerDeadline;
     wo.respawn = opts_.workerRespawn;
     workerPool_.emplace(wo);
-    pool_.emplace(wo.count);
 
     listenFd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (listenFd_ < 0) {
@@ -200,9 +197,9 @@ Server::stop()
         }
     }
     reapConnections(true);
-    pool_.reset();
-    // Dispatch threads are drained; now retire the worker processes
-    // (graceful EOF first, SIGKILL stragglers — none may outlive us).
+    // No connection thread is left inside the pool; now retire the
+    // worker processes (graceful EOF first, SIGKILL stragglers —
+    // none may outlive us).
     workerPool_.reset();
     if (cache_) {
         cache_->flush();
@@ -442,8 +439,8 @@ Server::handleVerify(const json::Value &request)
                          quarantine_.lastSignature(key));
     }
 
-    // Admission control: bound the queued-or-running verification
-    // jobs.  The (N+1)-th concurrent request is shed immediately
+    // Admission control: bound the misses waiting for or running on
+    // a worker.  The (N+1)-th concurrent one is shed immediately
     // with a sound Unknown — the daemon degrades, it never stalls.
     const std::size_t prior =
         pending_.fetch_add(1, std::memory_order_relaxed);
@@ -453,9 +450,15 @@ Server::handleVerify(const json::Value &request)
         ++stats_.shedQueueFull;
         return shedValue("queue-full", /*retryable=*/true, 25);
     }
+    // Released on every path out of here, exceptions included.
+    struct PendingSlot
+    {
+        std::atomic<std::size_t> &pending;
+        ~PendingSlot() { pending.fetch_sub(1, std::memory_order_relaxed); }
+    } slot{pending_};
 
-    // The deadline is fixed at admission: time spent waiting in the
-    // queue counts against it, so a stampede cannot stretch anyone's
+    // The deadline is fixed at admission: time spent waiting for a
+    // worker counts against it, so a stampede cannot stretch anyone's
     // latency contract.
     std::chrono::milliseconds deadline = opts_.defaultDeadline;
     if (const json::Value *d = request.get("deadline_ms");
@@ -470,46 +473,14 @@ Server::handleVerify(const json::Value &request)
     const auto deadlineAt =
         std::chrono::steady_clock::now() + deadline;
 
-    const std::string source = litmus->asString();
-    auto promise = std::make_shared<std::promise<json::Value>>();
-    std::future<json::Value> future = promise->get_future();
     try {
-        pool_->post([this, promise, prog, spec, key, source, nocache,
-                     hasDeadline, deadlineAt] {
-            json::Value response;
-            try {
-                if (hasDeadline &&
-                    std::chrono::steady_clock::now() >= deadlineAt) {
-                    {
-                        std::lock_guard<std::mutex> lock(statsMutex_);
-                        ++stats_.shedDeadline;
-                    }
-                    response =
-                        shedValue("deadline", /*retryable=*/true, 100);
-                } else {
-                    response = dispatchToWorker(
-                        prog, spec, key, source, nocache, hasDeadline,
-                        deadlineAt);
-                }
-            } catch (const std::exception &e) {
-                {
-                    std::lock_guard<std::mutex> lock(statsMutex_);
-                    ++stats_.errors;
-                }
-                response = errorValue(statusOf(e));
-            }
-            pending_.fetch_sub(1, std::memory_order_relaxed);
-            promise->set_value(std::move(response));
-        });
+        return dispatchToWorker(prog, spec, key, litmus->asString(),
+                                nocache, hasDeadline, deadlineAt);
     } catch (const std::exception &e) {
-        // post() itself failed (allocation, injected scheduler
-        // fault): the job will never run, settle the books here.
-        pending_.fetch_sub(1, std::memory_order_relaxed);
         std::lock_guard<std::mutex> lock(statsMutex_);
         ++stats_.errors;
         return errorValue(statusOf(e));
     }
-    return future.get();
 }
 
 void
@@ -539,22 +510,10 @@ Server::dispatchToWorker(
     wreq.model = spec;
     wreq.hasDeadline = hasDeadline;
     wreq.deadlineAt = deadlineAt;
+    // execute() tightens the wall clock to the deadline once a worker
+    // is free.  Pointers cannot cross the fork boundary: the worker
+    // runs under the numeric fields only.
     RunBudget budget = opts_.engine.budget;
-    if (hasDeadline) {
-        // Clamp to >= 1ns: a deadline that expired this instant
-        // must trip the budget, and a zero wallClock would mean
-        // "unlimited".
-        const std::chrono::nanoseconds remaining =
-            std::max<std::chrono::nanoseconds>(
-                deadlineAt - std::chrono::steady_clock::now(),
-                std::chrono::nanoseconds(1));
-        if (budget.wallClock.count() == 0 ||
-            remaining < budget.wallClock) {
-            budget.wallClock = remaining;
-        }
-    }
-    // Pointers cannot cross the fork boundary: the worker runs under
-    // the numeric fields only.
     budget.cancel = nullptr;
     budget.shared = nullptr;
     wreq.budget = budget;
@@ -599,6 +558,12 @@ Server::dispatchToWorker(
         return crashValue(timedOut ? "worker-timeout"
                                    : "worker-crash",
                           out.detail, /*retryable=*/true, 100);
+      }
+      case WorkerOutcome::Kind::Expired: {
+        // No worker was free by the deadline: dropped unrun.
+        std::lock_guard<std::mutex> lock(statsMutex_);
+        ++stats_.shedDeadline;
+        return shedValue("deadline", /*retryable=*/true, 100);
       }
       case WorkerOutcome::Kind::Unavailable:
       default:

@@ -29,11 +29,11 @@
  *     path) drains in-flight requests, delivers their responses,
  *     then flushes the journal.
  *
- * Threading: one accept thread, one thread per live connection
- * (parsing, cache lookups, and framing happen there — cache hits
- * never touch the verification queue), and a fixed ThreadPool of
- * dispatch threads.  Each dispatch thread hands the request to a
- * process-isolated worker from serve/worker.hh — a forked engine
+ * Threading: one accept thread and one thread per live connection.
+ * Parsing, cache lookups and framing happen on the connection
+ * thread, so cache hits never touch a worker.  A miss waits there,
+ * in arrival order, for a process-isolated worker from
+ * serve/worker.hh and then hands it the request — a forked engine
  * whose segv/abort/OOM/hang costs exactly one response (a sound
  * Unknown{worker-crash} or {worker-timeout}), never the daemon.
  * Shed, crash, and error responses carry machine-readable
@@ -59,7 +59,6 @@
 #include "base/budget.hh"
 #include "base/channel.hh"
 #include "base/retry.hh"
-#include "base/scheduler.hh"
 #include "serve/cache.hh"
 #include "serve/protocol.hh"
 #include "serve/worker.hh"
@@ -74,13 +73,13 @@ struct ServeOptions
     /** Default model spec for requests that don't name one. */
     std::string model = "lkmm";
     /**
-     * Worker processes, and dispatch threads feeding them
+     * Worker processes, and so the most misses verified at once
      * (0 = hardware concurrency).
      */
     std::size_t workers = 0;
     /**
-     * Admission bound: requests queued-or-running on the worker
-     * pool.  The next request past the bound is shed with a sound
+     * Admission bound: misses waiting for or running on a worker.
+     * The next request past the bound is shed with a sound
      * Unknown{queue-full} instead of stalling (0 = unbounded).
      */
     std::size_t maxPending = 64;
@@ -205,8 +204,9 @@ class Server
      */
     void validateSpec(const std::string &spec);
     /**
-     * Execution of one admitted request: dispatch to the worker
-     * pool, decode the outcome (crash/timeout → sound Unknown, the
+     * Execution of one admitted request on the calling connection
+     * thread: wait for a worker and dispatch to it, decode the
+     * outcome (crash/timeout/deadline → sound Unknown, the
      * quarantine ledger updated), cache complete results.
      */
     json::Value dispatchToWorker(
@@ -219,7 +219,6 @@ class Server
     ServeOptions opts_;
     int listenFd_ = -1;
     std::optional<VerdictCache> cache_;
-    std::optional<ThreadPool> pool_;
     std::optional<WorkerPool> workerPool_;
     retry::Quarantine quarantine_;
 
@@ -234,7 +233,7 @@ class Server
     std::mutex connMutex_;
     std::vector<std::unique_ptr<Connection>> connections_;
 
-    /** Verification jobs queued-or-running (admission control). */
+    /** Misses waiting for or running on a worker (admission). */
     std::atomic<std::size_t> pending_{0};
 
     mutable std::mutex statsMutex_;

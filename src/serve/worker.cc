@@ -121,9 +121,10 @@ WorkerPool::WorkerPool(WorkerOptions opts) : opts_(std::move(opts))
 {
     if (opts_.count == 0)
         opts_.count = 1;
-    // The initial spawns happen before any dispatch or supervisor
-    // thread exists — single-threaded fork, the safe kind.  A
-    // failure starts the pool degraded; the supervisor heals it.
+    // The initial spawns happen before the supervisor thread (and,
+    // in the Server, before any connection thread) exists —
+    // single-threaded fork, the safe kind.  A failure starts the
+    // pool degraded; the supervisor heals it.
     for (std::size_t i = 0; i < opts_.count; ++i) {
         try {
             workers_.push_back(spawnOne());
@@ -167,23 +168,37 @@ WorkerPool::acquire(
         &deadline)
 {
     std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-        if (stopping_)
-            return nullptr;
-        for (const auto &w : workers_) {
-            if (!w->busy && w->child.fd() >= 0) {
-                w->busy = true;
-                return w.get();
+    // Only the oldest waiter may take an idle worker, so a new
+    // arrival never overtakes an earlier one.
+    const std::uint64_t ticket = nextTicket_++;
+    waiters_.push_back(ticket);
+    Worker *got = nullptr;
+    while (!stopping_) {
+        if (waiters_.front() == ticket) {
+            for (const auto &w : workers_) {
+                if (!w->busy && w->child.fd() >= 0) {
+                    got = w.get();
+                    break;
+                }
+            }
+            if (got) {
+                got->busy = true;
+                break;
             }
         }
         if (deadline) {
             if (std::chrono::steady_clock::now() >= *deadline)
-                return nullptr;
+                break;
             idleCv_.wait_until(lock, *deadline);
         } else {
             idleCv_.wait(lock);
         }
     }
+    waiters_.erase(std::find(waiters_.begin(), waiters_.end(), ticket));
+    // The next waiter is now at the front, and a worker may be idle.
+    if (!waiters_.empty())
+        idleCv_.notify_all();
+    return got;
 }
 
 std::unique_ptr<WorkerPool::Worker>
@@ -215,31 +230,54 @@ WorkerPool::execute(const WorkerRequest &req)
 {
     WorkerOutcome out;
 
+    // A request waits for a worker until its deadline and is watched
+    // until the deadline plus the grace; one without a deadline gets
+    // one defaultDeadline window (none if 0) for both.
+    std::optional<std::chrono::steady_clock::time_point> wait;
     std::optional<std::chrono::steady_clock::time_point> watchdog;
-    if (req.hasDeadline)
+    if (req.hasDeadline) {
+        wait = req.deadlineAt;
         watchdog = req.deadlineAt + opts_.dispatchGrace;
-    else if (opts_.defaultDeadline.count() > 0) {
-        watchdog = std::chrono::steady_clock::now() +
+    } else if (opts_.defaultDeadline.count() > 0) {
+        wait = watchdog = std::chrono::steady_clock::now() +
             opts_.defaultDeadline;
     }
 
-    Worker *w = acquire(watchdog);
-    if (w == nullptr) {
-        out.kind = WorkerOutcome::Kind::Unavailable;
-        out.detail = "no worker available before the deadline";
-        return out;
-    }
+    Worker *w = acquire(wait);
     {
         std::lock_guard<std::mutex> lock(mutex_);
+        if (w == nullptr) {
+            if (req.hasDeadline && !stopping_) {
+                out.kind = WorkerOutcome::Kind::Expired;
+                out.detail = "deadline passed before a worker was free";
+            } else {
+                out.kind = WorkerOutcome::Kind::Unavailable;
+                out.detail = "no worker available before the deadline";
+            }
+            return out;
+        }
         ++stats_.requests;
     }
 
+    // The wall-clock budget is what is left of the deadline now,
+    // after the wait: the engine trips it (a sound truncated Unknown)
+    // before the watchdog's grace runs out.  Clamp to >= 1ns: a
+    // deadline that expired this instant must trip the budget, and a
+    // zero wallClock would mean "unlimited".
+    std::chrono::nanoseconds wallClock = req.budget.wallClock;
+    if (req.hasDeadline) {
+        const std::chrono::nanoseconds remaining =
+            std::max<std::chrono::nanoseconds>(
+                req.deadlineAt - std::chrono::steady_clock::now(),
+                std::chrono::nanoseconds(1));
+        if (wallClock.count() == 0 || remaining < wallClock)
+            wallClock = remaining;
+    }
     json::Object o;
     o["op"] = "run";
     o["litmus"] = req.litmus;
     o["model"] = req.model;
-    o["budget_wall_ns"] = static_cast<std::int64_t>(
-        req.budget.wallClock.count());
+    o["budget_wall_ns"] = static_cast<std::int64_t>(wallClock.count());
     o["budget_candidates"] =
         static_cast<std::int64_t>(req.budget.maxCandidates);
     o["budget_rf"] =
@@ -339,7 +377,7 @@ WorkerPool::execute(const WorkerRequest &req)
     } else {
         std::lock_guard<std::mutex> lock(mutex_);
         w->busy = false;
-        idleCv_.notify_one();
+        idleCv_.notify_all();
     }
     return out;
 }
@@ -393,7 +431,7 @@ WorkerPool::supervisorLoop()
             --deficit_;
             ++stats_.restarts;
             workers_.push_back(std::move(fresh));
-            idleCv_.notify_one();
+            idleCv_.notify_all();
         } else {
             // Spawn failure feeds the same backoff loop: the deficit
             // stays, the next lap sleeps longer.

@@ -26,7 +26,8 @@
  *   replies error                   structured error + retryable
  *   killed by signal / exits        Unknown{worker-crash}
  *   watchdog deadline               Unknown{worker-timeout}
- *   no worker available in time     Unknown{worker-unavailable}
+ *   none free by request deadline   Unknown{deadline}, never run
+ *   none free otherwise             Unknown{worker-unavailable}
  *
  * Supervision is self-healing: worker deaths leave a deficit that a
  * supervisor thread refills, sleeping a base/retry exponential
@@ -55,6 +56,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -127,8 +129,9 @@ struct WorkerRequest
     std::string model;
     /**
      * Numeric budget for the run.  cancel/shared do not cross the
-     * fork; the wall-clock field is the already-clamped remaining
-     * deadline.
+     * fork; with a deadline, execute() tightens the wall-clock field
+     * to the time left when the request is written, after any wait
+     * for a worker.
      */
     RunBudget budget;
     /** Engine selection, carried as the mode name on the wire. */
@@ -150,7 +153,9 @@ struct WorkerOutcome
         Crashed,
         /** The parent watchdog killed an over-deadline worker. */
         TimedOut,
-        /** No worker became available before the deadline. */
+        /** No worker was free by the request's deadline; never ran. */
+        Expired,
+        /** No worker within defaultDeadline, or the pool stopping. */
         Unavailable,
     };
 
@@ -190,8 +195,8 @@ class WorkerPool
      * Drain-aware shutdown: close every channel (an idle worker
      * reads EOF and exits cleanly; a busy one finishes its request
      * first), wait shutdownGrace, SIGKILL stragglers, reap all.
-     * Callers drain in-flight dispatches first — the Server tears
-     * down its dispatch threads before this.
+     * Callers drain in-flight execute() calls first — the Server
+     * joins its connection threads before this.
      */
     ~WorkerPool();
 
@@ -199,9 +204,10 @@ class WorkerPool
     WorkerPool &operator=(const WorkerPool &) = delete;
 
     /**
-     * Dispatch one request to an idle worker and decode whatever
-     * comes back.  Never throws; every failure shape is a
-     * WorkerOutcome kind.
+     * Wait on the calling thread for an idle worker, first come first
+     * served (so the worker count caps requests in flight), dispatch
+     * the request to it and decode whatever comes back.  Never
+     * throws; every failure shape is a WorkerOutcome kind.
      */
     WorkerOutcome execute(const WorkerRequest &req);
 
@@ -225,6 +231,7 @@ class WorkerPool
 
     /** Throws StatusError/bad_alloc on spawn failure. */
     static std::unique_ptr<Worker> spawnOne();
+    /** Null once `deadline` passes or the pool is stopping. */
     Worker *acquire(
         const std::optional<std::chrono::steady_clock::time_point>
             &deadline);
@@ -239,6 +246,9 @@ class WorkerPool
     std::condition_variable idleCv_;
     std::condition_variable supervisorCv_;
     std::vector<std::unique_ptr<Worker>> workers_;
+    /** Tickets of the callers waiting in acquire(), oldest first. */
+    std::deque<std::uint64_t> waiters_;
+    std::uint64_t nextTicket_ = 0;
     /** Workers owed to the pool (deaths + failed spawns). */
     std::size_t deficit_ = 0;
     bool stopping_ = false;

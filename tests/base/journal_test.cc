@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <string>
 
@@ -229,6 +230,39 @@ TEST_F(JournalTest, TruncationAtEveryByteOffsetRecoversIntactPrefix)
             << "offset " << offset;
         ASSERT_EQ(again.records.back(), record(99)) << "offset " << offset;
     }
+}
+
+TEST_F(JournalTest, RecoverBytesMatchesRecoverOnTornAndCorrupted)
+{
+    // recover(path) is a file read in front of recoverBytes(); the
+    // two must agree on every field for the same bytes, torn tail
+    // and mid-file corruption alike.
+    std::string intact;
+    for (int i = 0; i < 4; ++i)
+        intact += journal::encodeLine(record(i));
+    const std::string fifth = journal::encodeLine(record(4));
+    const std::string torn = intact + fifth.substr(0, fifth.size() / 2);
+    std::string corrupted = intact + fifth;
+    // Flip a digit inside the third record's data: the JSON stays
+    // well-formed, so only the CRC notices.
+    const std::size_t third = intact.find("\"seq\":2");
+    ASSERT_NE(third, std::string::npos);
+    corrupted[third + 6] = '7';
+
+    for (const std::string &bytes : {torn, corrupted}) {
+        const std::string p = path("bytes");
+        std::remove(p.c_str());
+        appendRaw(p, bytes);
+        const journal::RecoverResult fromFile = journal::recover(p);
+        const journal::RecoverResult fromBytes =
+            journal::recoverBytes(bytes);
+        EXPECT_TRUE(fromFile.droppedTail);
+        EXPECT_EQ(fromBytes.droppedTail, fromFile.droppedTail);
+        EXPECT_EQ(fromBytes.validBytes, fromFile.validBytes);
+        EXPECT_EQ(fromBytes.records, fromFile.records);
+    }
+    EXPECT_EQ(journal::recoverBytes(torn).records.size(), 4u);
+    EXPECT_EQ(journal::recoverBytes(corrupted).records.size(), 2u);
 }
 
 TEST_F(JournalTest, FsyncDurabilityWritesTheSameFormat)

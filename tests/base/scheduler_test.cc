@@ -6,9 +6,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -27,13 +29,13 @@ TEST(ThreadPool, RunsPostedTasks)
     EXPECT_EQ(pool.size(), 4u);
     std::atomic<int> ran{0};
     for (int i = 0; i < 100; ++i)
-        pool.post([&] { ran.fetch_add(1); });
+        pool.post([&](std::size_t) { ran.fetch_add(1); });
     // The destructor drains the queue before joining, so by the end
     // of this scope every task has run.
     {
         ThreadPool inner(2);
         for (int i = 0; i < 50; ++i)
-            inner.post([&] { ran.fetch_add(1); });
+            inner.post([&](std::size_t) { ran.fetch_add(1); });
     }
     while (ran.load() < 150)
         std::this_thread::yield();
@@ -45,7 +47,7 @@ TEST(ThreadPool, ClampsToAtLeastOneWorker)
     ThreadPool pool(0);
     EXPECT_EQ(pool.size(), 1u);
     std::atomic<bool> ran{false};
-    pool.post([&] { ran.store(true); });
+    pool.post([&](std::size_t) { ran.store(true); });
     while (!ran.load())
         std::this_thread::yield();
 }
@@ -60,7 +62,7 @@ TEST(ParallelIndexed, ResultsInSubmissionOrder)
     ThreadPool pool(8);
     // Make early indices slow so completion order differs from
     // submission order; the result vector must not care.
-    auto results = parallelIndexed(pool, 64, [](std::size_t i) {
+    auto results = parallelIndexed(pool, 64, [](std::size_t i, std::size_t) {
         if (i < 8) {
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(5));
@@ -76,7 +78,8 @@ TEST(ParallelIndexed, ZeroTasksReturnsEmpty)
 {
     ThreadPool pool(2);
     auto results =
-        parallelIndexed(pool, 0, [](std::size_t i) { return i; });
+        parallelIndexed(pool, 0,
+                        [](std::size_t i, std::size_t) { return i; });
     EXPECT_TRUE(results.empty());
 }
 
@@ -85,7 +88,7 @@ TEST(ParallelIndexed, EveryIndexRunsExactlyOnce)
     ThreadPool pool(4);
     std::mutex mu;
     std::set<std::size_t> seen;
-    parallelIndexed(pool, 200, [&](std::size_t i) {
+    parallelIndexed(pool, 200, [&](std::size_t i, std::size_t) {
         std::lock_guard<std::mutex> lock(mu);
         EXPECT_TRUE(seen.insert(i).second);
         return 0;
@@ -101,7 +104,7 @@ TEST(ParallelIndexed, RethrowsLowestIndexException)
     // all still have run (no cancellation is implied).
     std::atomic<int> ran{0};
     try {
-        parallelIndexed(pool, 16, [&](std::size_t i) -> int {
+        parallelIndexed(pool, 16, [&](std::size_t i, std::size_t) -> int {
             ran.fetch_add(1);
             if (i == 7)
                 throw std::runtime_error("seven");
@@ -120,9 +123,39 @@ TEST(ParallelIndexed, MoreTasksThanThreads)
 {
     ThreadPool pool(2);
     auto results = parallelIndexed(
-        pool, 1000, [](std::size_t i) { return i + 1; });
+        pool, 1000, [](std::size_t i, std::size_t) { return i + 1; });
     ASSERT_EQ(results.size(), 1000u);
     EXPECT_EQ(results.back(), 1000u);
+}
+
+TEST(ParallelIndexed, ThreadIndexIsInRangeAndNeverShared)
+{
+    // Many short tasks that overlap in time: each claims its thread
+    // index's flag for the length of the task.  An index outside
+    // [0, size) or one already claimed by a running task would let
+    // two tasks share per-thread state.
+    ThreadPool pool(4);
+    std::vector<std::atomic<bool>> busy(pool.size());
+    std::atomic<int> outOfRange{0};
+    std::atomic<int> shared{0};
+    std::mutex mu;
+    std::set<std::size_t> used;
+    parallelIndexed(pool, 2000, [&](std::size_t, std::size_t thread) {
+        if (thread >= busy.size()) {
+            outOfRange.fetch_add(1);
+            return 0;
+        }
+        if (busy[thread].exchange(true))
+            shared.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+        busy[thread].store(false);
+        std::lock_guard<std::mutex> lock(mu);
+        used.insert(thread);
+        return 0;
+    });
+    EXPECT_EQ(outOfRange.load(), 0);
+    EXPECT_EQ(shared.load(), 0);
+    EXPECT_GT(used.size(), 1u) << "the tasks never overlapped";
 }
 
 TEST(ThreadPoolShutdown, DrainsNonEmptyQueueBeforeJoining)
@@ -135,7 +168,7 @@ TEST(ThreadPoolShutdown, DrainsNonEmptyQueueBeforeJoining)
     {
         ThreadPool pool(1);
         for (int i = 0; i < 50; ++i) {
-            pool.post([&] {
+            pool.post([&](std::size_t) {
                 std::this_thread::sleep_for(
                     std::chrono::microseconds(200));
                 ran.fetch_add(1);
@@ -154,7 +187,7 @@ TEST(ThreadPoolShutdown, ThrowingTasksNeitherTerminateNorWedge)
     {
         ThreadPool pool(2);
         for (int i = 0; i < 20; ++i) {
-            pool.post([&, i] {
+            pool.post([&, i](std::size_t) {
                 if (i % 2 == 0)
                     throw std::runtime_error("leaked task exception");
                 ran.fetch_add(1);
@@ -179,7 +212,7 @@ TEST(ParallelIndexed, InjectedPostFailureDoesNotDeadlock)
     faultinject::setPlan(plan);
     std::atomic<int> ran{0};
     try {
-        parallelIndexed(pool, 8, [&](std::size_t i) {
+        parallelIndexed(pool, 8, [&](std::size_t i, std::size_t) {
             ran.fetch_add(1);
             return i;
         });
@@ -204,7 +237,8 @@ TEST(ParallelIndexed, InjectedTaskFaultIsCapturedPerIndex)
     plan.kind = faultinject::FaultKind::Error;
     faultinject::setPlan(plan);
     EXPECT_THROW(
-        parallelIndexed(pool, 4, [](std::size_t i) { return i; }),
+        parallelIndexed(pool, 4,
+                        [](std::size_t i, std::size_t) { return i; }),
         StatusError);
     faultinject::reset();
 }

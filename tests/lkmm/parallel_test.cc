@@ -1,9 +1,9 @@
 /**
  * @file
- * The parallel verification engine's hard invariant: a sweep run
- * with IsolationMode::InProcessParallel produces a report with the
- * same per-test verdicts, counts and stats as the sequential sweep —
- * for every test in the Table 5 catalog — plus the sweep-budget and
+ * The parallel verification engine's hard invariant: an in-process
+ * sweep on four threads produces a report with the same per-test
+ * verdicts, counts and stats as the default one-thread sweep — for
+ * every test in the Table 5 catalog — plus the sweep-budget and
  * cross-check behaviours under concurrency.
  */
 
@@ -173,8 +173,8 @@ TEST(ParallelSweep, SweepBudgetStopsTheWholeSweep)
 
 TEST(ParallelSweep, SweepBudgetAppliesToSequentialModesToo)
 {
-    // The same sweep budget wires through InProcess: the API is one
-    // option, not a parallel-only feature.
+    // The same sweep budget wires through the default one-thread
+    // sweep: the API is one option, not a many-thread-only feature.
     auto model = ModelRegistry::instance().make("lkmm");
     BatchOptions opts;
     opts.sweepBudget.maxCandidates = 1;
@@ -187,8 +187,8 @@ TEST(ParallelSweep, SweepBudgetAppliesToSequentialModesToo)
 
 TEST(ParallelSweep, ManyWorkersOnFewTestsIsSafe)
 {
-    // More workers than tests: slots and the pool must not deadlock
-    // or double-assign.
+    // More workers than tests: the pool must not deadlock or hand
+    // two running tests the same thread's model.
     const ModelRegistry &reg = ModelRegistry::instance();
     auto model = reg.make("lkmm");
     BatchOptions opts;

@@ -358,5 +358,30 @@ TEST_F(SweepTest, CancelledSweepReturnsPartialReport)
     EXPECT_TRUE(forkedReport.results.empty());
 }
 
+TEST_F(SweepTest, EscapingFailureStopsDispatchAndThrows)
+{
+    // A failure outside any one test's isolation (here journaling
+    // the second result) surfaces from run(), and no later test
+    // starts: the journal holds the first result and nothing after.
+    const std::string path = tempPath("escape");
+    faultinject::FaultPlan plan;
+    plan.site = faultinject::site::kBatchRecord;
+    plan.hit = 2;
+    plan.kind = faultinject::FaultKind::Error;
+    faultinject::setPlan(plan);
+
+    BatchOptions opts;
+    opts.journalPath = path;
+    BatchRunner runner(model, opts);
+    for (const Program &p : corpus())
+        runner.add(p.name, p);
+    EXPECT_THROW(runner.run(), StatusError);
+    EXPECT_TRUE(faultinject::planFired());
+
+    const SweepJournalContents contents =
+        decodeSweepJournal(journal::recover(path).records);
+    EXPECT_EQ(contents.outcomes.size(), 1u);
+}
+
 } // namespace
 } // namespace lkmm

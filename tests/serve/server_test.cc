@@ -17,6 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -252,17 +253,23 @@ TEST(Server, QueuedPastDeadlineShedsWithoutRunning)
     json::Object hugeReq = verifyRequest(kHuge);
     hugeReq["deadline_ms"] = static_cast<std::int64_t>(1500);
     json::Value hugeResp;
+    std::atomic<bool> pinnedDone{false};
     std::thread pinner([&] {
         hugeResp = request(opts.socketPath, json::Value(hugeReq));
+        pinnedDone.store(true);
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(400));
 
     // Admitted, but its 100 ms deadline expires while it waits
-    // behind the pinned worker: the job must be dropped unrun.
+    // behind the pinned worker: the job must be dropped unrun, and
+    // as soon as the deadline passes, not once the worker frees up.
     json::Object lateReq = verifyRequest(kMp);
     lateReq["deadline_ms"] = static_cast<std::int64_t>(100);
+    const auto sent = std::chrono::steady_clock::now();
     const json::Value late =
         request(opts.socketPath, json::Value(lateReq));
+    const auto waited = std::chrono::steady_clock::now() - sent;
+    const bool pinnedStillRunning = !pinnedDone.load();
     pinner.join();
 
     EXPECT_EQ(late.getString("status"), "shed") << late.serialize();
@@ -270,7 +277,91 @@ TEST(Server, QueuedPastDeadlineShedsWithoutRunning)
     EXPECT_EQ(late.getString("verdict"), "Unknown");
     EXPECT_TRUE(late.getBool("retryable", false));
     EXPECT_GT(late.getInt("retry_after_ms"), 0);
+    EXPECT_LT(waited, std::chrono::milliseconds(100 + 500))
+        << "the shed waited for the worker, not for the deadline";
+    EXPECT_TRUE(pinnedStillRunning);
     EXPECT_EQ(server.stats().shedDeadline, 1u);
+    EXPECT_EQ(server.workerPool()->stats().requests, 1u)
+        << "only the pinned request reached a worker";
+    server.stop();
+}
+
+TEST(Server, WaitForWorkerComesOutOfTheBudgetNotTheWatchdog)
+{
+    // A miss that waits most of its deadline for the one worker must
+    // run under what is left of that deadline: the engine truncates
+    // it to a sound Unknown before the watchdog's grace runs out.
+    // Budgeted from admission instead, it would overrun into the
+    // watchdog's SIGKILL and come back as a worker-timeout.
+    ServeOptions opts;
+    opts.socketPath = socketPath("waitbudget");
+    opts.workers = 1;
+    opts.engine.setMode("brute");
+    Server server(opts);
+    server.start();
+
+    json::Object pinReq = verifyRequest(kHuge);
+    pinReq["deadline_ms"] = static_cast<std::int64_t>(1200);
+    std::thread pinner(
+        [&] { request(opts.socketPath, json::Value(pinReq)); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+    // Deadline at about 1700 ms; the worker frees at about 1200 ms.
+    json::Object waitReq = verifyRequest(kHuge);
+    waitReq["nocache"] = true;
+    waitReq["deadline_ms"] = static_cast<std::int64_t>(1400);
+    const json::Value waited =
+        request(opts.socketPath, json::Value(waitReq));
+    pinner.join();
+
+    ASSERT_EQ(waited.getString("status"), "ok") << waited.serialize();
+    EXPECT_EQ(waited.get("result")->getString("verdict"), "Unknown");
+    EXPECT_EQ(waited.get("result")->getString("completeness"),
+              "truncated");
+    EXPECT_EQ(server.stats().workerTimeouts, 0u);
+    EXPECT_EQ(server.stats().shedDeadline, 0u);
+    server.stop();
+}
+
+TEST(Server, QueuedMissesAreAnsweredInArrivalOrder)
+{
+    // Three misses queue behind the pinned worker, 100 ms apart.
+    // Each then runs for the server's 300 ms wall-clock budget, so
+    // answers 300 ms apart show the order the worker took them in.
+    ServeOptions opts;
+    opts.socketPath = socketPath("fifo");
+    opts.workers = 1;
+    opts.engine.setMode("brute");
+    opts.engine.budget.wallClock = std::chrono::milliseconds(300);
+    Server server(opts);
+    server.start();
+
+    json::Object hugeReq = verifyRequest(kHuge);
+    hugeReq["nocache"] = true;
+    std::thread pinner(
+        [&] { request(opts.socketPath, json::Value(hugeReq)); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+    std::mutex mu;
+    std::vector<int> answered;
+    std::vector<std::thread> waiters;
+    for (int i = 0; i < 3; ++i) {
+        waiters.emplace_back([&, i] {
+            const json::Value resp =
+                request(opts.socketPath, json::Value(hugeReq));
+            std::lock_guard<std::mutex> lock(mu);
+            EXPECT_EQ(resp.getString("status"), "ok")
+                << resp.serialize();
+            answered.push_back(i);
+        });
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+    for (std::thread &t : waiters)
+        t.join();
+    pinner.join();
+
+    EXPECT_EQ(answered, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(server.workerPool()->stats().requests, 4u);
     server.stop();
 }
 

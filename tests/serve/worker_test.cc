@@ -290,7 +290,7 @@ TEST(WorkerIsolation, HangMidRequestBecomesWorkerTimeout)
 TEST(WorkerIsolation, InjectedKillFailureStillReapsAHungWorker)
 {
     // The worker hangs at its result write; the watchdog's SIGKILL of
-    // it fails once.  The reap must still kill it, or this dispatch
+    // it fails once.  The reap must still kill it, or this connection
     // thread (and the client) would wait on the hung worker forever.
     FaultGuard guard;
     faultinject::FaultPlan hang;

@@ -102,13 +102,14 @@ usage()
         "  --list-models       print the model registry and exit\n"
         "\n"
         "robustness/parallelism:\n"
-        "  --isolation MODE    in-process (default), forked, or\n"
-        "                      inproc-parallel (checks --jobs tests\n"
-        "                      concurrently on a thread pool; report\n"
-        "                      is verdict-identical to in-process)\n"
-        "  --jobs N            concurrent children (forked) or\n"
-        "                      worker threads (inproc-parallel);\n"
-        "                      0 = all hardware threads\n"
+        "  --isolation MODE    in-process (default: checks --jobs\n"
+        "                      tests concurrently on a thread pool;\n"
+        "                      the report is verdict-identical at\n"
+        "                      every --jobs) or forked (one sandboxed\n"
+        "                      child per test)\n"
+        "  --jobs N            worker threads (in-process) or\n"
+        "                      concurrent children (forked); default\n"
+        "                      1, 0 = all hardware threads\n"
         "  --task-deadline-ms N  per-child watchdog deadline\n"
         "  --task-cpu-s N      per-child RLIMIT_CPU seconds\n"
         "  --task-mem-mb N     per-child RLIMIT_AS megabytes\n"
@@ -224,10 +225,7 @@ main(int argc, char **argv)
                 const std::string mode = next();
                 if (mode == "forked")
                     opts.isolation = IsolationMode::Forked;
-                else if (mode == "in-process" || mode == "inprocess")
-                    opts.isolation = IsolationMode::InProcess;
-                else if (mode == "inproc-parallel" ||
-                         mode == "in-process-parallel")
+                else if (mode == "in-process")
                     opts.isolation = IsolationMode::InProcessParallel;
                 else
                     return usage();
@@ -304,8 +302,8 @@ main(int argc, char **argv)
     try {
         // One resolution path for every spelling: registry names,
         // aliases, cat:FILE and bare .cat paths.  The factory also
-        // goes into the batch options so inproc-parallel workers
-        // each construct their own instance.
+        // goes into the batch options so each in-process worker
+        // thread constructs its own instance.
         const ModelRegistry &registry = ModelRegistry::instance();
         const std::string modelSpec =
             catFile.empty() ? modelName : "cat:" + catFile;
@@ -340,12 +338,9 @@ main(int argc, char **argv)
             return 1;
         }
         if (!quiet) {
-            const char *mode =
-                opts.isolation == IsolationMode::Forked
-                    ? "forked"
-                    : opts.isolation == IsolationMode::InProcessParallel
-                          ? "inproc-parallel"
-                          : "in-process";
+            const char *mode = opts.isolation == IsolationMode::Forked
+                                   ? "forked"
+                                   : "in-process";
             std::fprintf(stderr,
                          "lkmm-sweep: %zu tests, model %s, %s mode "
                          "(%d jobs), seed %llu%s\n",
