@@ -559,15 +559,16 @@ Server::dispatchToWorker(
                                    : "worker-crash",
                           out.detail, /*retryable=*/true, 100);
       }
-      case WorkerOutcome::Kind::Expired: {
-        // No worker was free by the deadline: dropped unrun.
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        ++stats_.shedDeadline;
-        return shedValue("deadline", /*retryable=*/true, 100);
-      }
       case WorkerOutcome::Kind::Unavailable:
       default:
         break;
+    }
+    // No worker was free in time; the miss never ran.  With a
+    // deadline of its own, that deadline is what passed.
+    if (hasDeadline) {
+        std::lock_guard<std::mutex> lock(statsMutex_);
+        ++stats_.shedDeadline;
+        return shedValue("deadline", /*retryable=*/true, 100);
     }
     {
         std::lock_guard<std::mutex> lock(statsMutex_);

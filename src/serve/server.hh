@@ -104,7 +104,8 @@ struct ServeOptions
     /** Retire a worker past this RSS (0 = never). */
     std::size_t workerRssLimitMb = 0;
     /**
-     * Watchdog for requests that carry no deadline (0 = wait
+     * Watchdog for requests that carry no deadline, counted from when
+     * one gets a worker; it also caps the wait for one (0 = wait
      * indefinitely).
      */
     std::chrono::milliseconds workerDeadline{0};

@@ -144,8 +144,9 @@ WorkerPool::~WorkerPool()
         std::lock_guard<std::mutex> lock(mutex_);
         stopping_ = true;
         doomed.swap(workers_);
+        for (std::condition_variable *waiter : waiters_)
+            waiter->notify_one();
     }
-    idleCv_.notify_all();
     supervisorCv_.notify_all();
     if (supervisor_.joinable())
         supervisor_.join();
@@ -170,35 +171,48 @@ WorkerPool::acquire(
     std::unique_lock<std::mutex> lock(mutex_);
     // Only the oldest waiter may take an idle worker, so a new
     // arrival never overtakes an earlier one.
-    const std::uint64_t ticket = nextTicket_++;
-    waiters_.push_back(ticket);
+    std::condition_variable cv;
+    waiters_.push_back(&cv);
     Worker *got = nullptr;
     while (!stopping_) {
-        if (waiters_.front() == ticket) {
-            for (const auto &w : workers_) {
-                if (!w->busy && w->child.fd() >= 0) {
-                    got = w.get();
-                    break;
-                }
-            }
+        if (waiters_.front() == &cv) {
+            got = idleWorker();
             if (got) {
                 got->busy = true;
+                ++stats_.requests;
                 break;
             }
         }
         if (deadline) {
             if (std::chrono::steady_clock::now() >= *deadline)
                 break;
-            idleCv_.wait_until(lock, *deadline);
+            cv.wait_until(lock, *deadline);
         } else {
-            idleCv_.wait(lock);
+            cv.wait(lock);
         }
     }
-    waiters_.erase(std::find(waiters_.begin(), waiters_.end(), ticket));
-    // The next waiter is now at the front, and a worker may be idle.
-    if (!waiters_.empty())
-        idleCv_.notify_all();
+    waiters_.erase(std::find(waiters_.begin(), waiters_.end(), &cv));
+    // The next waiter is now at the front: hand it any idle worker.
+    if (idleWorker() != nullptr)
+        wakeFront();
     return got;
+}
+
+WorkerPool::Worker *
+WorkerPool::idleWorker() const
+{
+    for (const auto &w : workers_) {
+        if (!w->busy && w->child.fd() >= 0)
+            return w.get();
+    }
+    return nullptr;
+}
+
+void
+WorkerPool::wakeFront()
+{
+    if (!waiters_.empty())
+        waiters_.front()->notify_one();
 }
 
 std::unique_ptr<WorkerPool::Worker>
@@ -231,33 +245,26 @@ WorkerPool::execute(const WorkerRequest &req)
     WorkerOutcome out;
 
     // A request waits for a worker until its deadline and is watched
-    // until the deadline plus the grace; one without a deadline gets
-    // one defaultDeadline window (none if 0) for both.
+    // until the deadline plus the grace.  One without a deadline
+    // waits up to one defaultDeadline window (none if 0), and its run
+    // is watched for a whole window of its own.
     std::optional<std::chrono::steady_clock::time_point> wait;
     std::optional<std::chrono::steady_clock::time_point> watchdog;
     if (req.hasDeadline) {
         wait = req.deadlineAt;
         watchdog = req.deadlineAt + opts_.dispatchGrace;
     } else if (opts_.defaultDeadline.count() > 0) {
-        wait = watchdog = std::chrono::steady_clock::now() +
-            opts_.defaultDeadline;
+        wait = std::chrono::steady_clock::now() + opts_.defaultDeadline;
     }
 
     Worker *w = acquire(wait);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (w == nullptr) {
-            if (req.hasDeadline && !stopping_) {
-                out.kind = WorkerOutcome::Kind::Expired;
-                out.detail = "deadline passed before a worker was free";
-            } else {
-                out.kind = WorkerOutcome::Kind::Unavailable;
-                out.detail = "no worker available before the deadline";
-            }
-            return out;
-        }
-        ++stats_.requests;
+    if (w == nullptr) {
+        out.kind = WorkerOutcome::Kind::Unavailable;
+        out.detail = "no worker available before the deadline";
+        return out;
     }
+    if (!req.hasDeadline && opts_.defaultDeadline.count() > 0)
+        watchdog = std::chrono::steady_clock::now() + opts_.defaultDeadline;
 
     // The wall-clock budget is what is left of the deadline now,
     // after the wait: the engine trips it (a sound truncated Unknown)
@@ -377,7 +384,7 @@ WorkerPool::execute(const WorkerRequest &req)
     } else {
         std::lock_guard<std::mutex> lock(mutex_);
         w->busy = false;
-        idleCv_.notify_all();
+        wakeFront();
     }
     return out;
 }
@@ -431,7 +438,7 @@ WorkerPool::supervisorLoop()
             --deficit_;
             ++stats_.restarts;
             workers_.push_back(std::move(fresh));
-            idleCv_.notify_all();
+            wakeFront();
         } else {
             // Spawn failure feeds the same backoff loop: the deficit
             // stays, the next lap sleeps longer.

@@ -26,8 +26,8 @@
  *   replies error                   structured error + retryable
  *   killed by signal / exits        Unknown{worker-crash}
  *   watchdog deadline               Unknown{worker-timeout}
- *   none free by request deadline   Unknown{deadline}, never run
- *   none free otherwise             Unknown{worker-unavailable}
+ *   none free in time (never run)   Unknown{deadline} if the request
+ *                                   has one, else {worker-unavailable}
  *
  * Supervision is self-healing: worker deaths leave a deficit that a
  * supervisor thread refills, sleeping a base/retry exponential
@@ -86,8 +86,9 @@ struct WorkerOptions
     /** Retire a worker whose RSS exceeds this (0 = never). */
     std::size_t rssLimitMb = 0;
     /**
-     * Watchdog for requests that carry no deadline of their own
-     * (0 = wait indefinitely).
+     * For a request with no deadline of its own: the longest wait for
+     * a worker, then the watchdog on its run, counted afresh once it
+     * has one (0 = wait indefinitely).
      */
     std::chrono::milliseconds defaultDeadline{0};
     /**
@@ -153,9 +154,11 @@ struct WorkerOutcome
         Crashed,
         /** The parent watchdog killed an over-deadline worker. */
         TimedOut,
-        /** No worker was free by the request's deadline; never ran. */
-        Expired,
-        /** No worker within defaultDeadline, or the pool stopping. */
+        /**
+         * No worker was free by the request's deadline (without one,
+         * within defaultDeadline), or the pool is stopping; the
+         * request never ran.
+         */
         Unavailable,
     };
 
@@ -231,10 +234,17 @@ class WorkerPool
 
     /** Throws StatusError/bad_alloc on spawn failure. */
     static std::unique_ptr<Worker> spawnOne();
-    /** Null once `deadline` passes or the pool is stopping. */
+    /**
+     * Mark an idle worker busy and count the request, or return null
+     * once `deadline` passes or the pool is stopping.
+     */
     Worker *acquire(
         const std::optional<std::chrono::steady_clock::time_point>
             &deadline);
+    /** An idle live worker, or null.  Caller holds mutex_. */
+    Worker *idleWorker() const;
+    /** Wake the oldest waiter in acquire().  Caller holds mutex_. */
+    void wakeFront();
     /** Remove w from the pool and hand it over.  Caller holds mutex_. */
     std::unique_ptr<Worker> take(Worker *w);
     void noteWorkerDeath();
@@ -243,12 +253,14 @@ class WorkerPool
     WorkerOptions opts_;
 
     mutable std::mutex mutex_;
-    std::condition_variable idleCv_;
     std::condition_variable supervisorCv_;
     std::vector<std::unique_ptr<Worker>> workers_;
-    /** Tickets of the callers waiting in acquire(), oldest first. */
-    std::deque<std::uint64_t> waiters_;
-    std::uint64_t nextTicket_ = 0;
+    /**
+     * The callers waiting in acquire(), oldest first, each by its own
+     * condition variable.  Only the front one may take an idle worker,
+     * so it is the only one a freed worker wakes.
+     */
+    std::deque<std::condition_variable *> waiters_;
     /** Workers owed to the pool (deaths + failed spawns). */
     std::size_t deficit_ = 0;
     bool stopping_ = false;

@@ -323,6 +323,42 @@ TEST(Server, WaitForWorkerComesOutOfTheBudgetNotTheWatchdog)
     server.stop();
 }
 
+TEST(Server, WaitForWorkerLeavesTheDefaultWatchdogWindowWhole)
+{
+    // A miss with no deadline of its own is watched for a whole
+    // workerDeadline window once it has a worker.  The second miss
+    // waits about 600 ms for the one worker, then runs 600 ms: timed
+    // from its arrival, the watchdog would kill it at about 1000 ms.
+    ServeOptions opts;
+    opts.socketPath = socketPath("waitwatchdog");
+    opts.workers = 1;
+    opts.workerDeadline = std::chrono::milliseconds(1000);
+    opts.engine.setMode("brute");
+    opts.engine.budget.wallClock = std::chrono::milliseconds(600);
+    Server server(opts);
+    server.start();
+
+    json::Object hugeReq = verifyRequest(kHuge);
+    hugeReq["nocache"] = true;
+    json::Value pinned;
+    std::thread pinner(
+        [&] { pinned = request(opts.socketPath, json::Value(hugeReq)); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+    const json::Value queued =
+        request(opts.socketPath, json::Value(hugeReq));
+    pinner.join();
+
+    ASSERT_EQ(pinned.getString("status"), "ok") << pinned.serialize();
+    ASSERT_EQ(queued.getString("status"), "ok") << queued.serialize();
+    EXPECT_EQ(queued.get("result")->getString("completeness"),
+              "truncated");
+    EXPECT_EQ(server.stats().workerTimeouts, 0u);
+    EXPECT_EQ(server.stats().shedWorkerUnavailable, 0u);
+    EXPECT_EQ(server.workerPool()->stats().requests, 2u);
+    server.stop();
+}
+
 TEST(Server, QueuedMissesAreAnsweredInArrivalOrder)
 {
     // Three misses queue behind the pinned worker, 100 ms apart.
