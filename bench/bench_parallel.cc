@@ -1,12 +1,13 @@
 /**
  * @file
- * Throughput of the in-process parallel verification engine: the
- * full Table 5 catalog swept through BatchRunner at jobs = 1, 2, 4
+ * Sweep throughput: the full Table 5 catalog swept through
+ * BatchRunner.  BM_SweepCatalog runs in process at jobs = 1, 2, 4
  * and the hardware thread count, with per-worker model instances
- * from the ModelRegistry.  SetItemsProcessed makes the reported
- * items/s a tests/sec figure, so the CI harness
- * (--benchmark_out=BENCH_sweep.json) captures the speedup curve
- * directly; the acceptance bar is >1.5x at jobs=4 over jobs=1 on a
+ * from the ModelRegistry; BM_SweepCatalogForked runs one forked
+ * child per test at jobs = 1 and 4.  SetItemsProcessed makes the
+ * reported items/s a tests/sec figure, so the CI harness
+ * (--benchmark_out=BENCH_sweep.json) captures both curves directly;
+ * the acceptance bar is >1.5x at jobs=4 over jobs=1 in process on a
  * 4-core runner.
  */
 
@@ -29,16 +30,16 @@ using namespace lkmm;
  * Sweep the catalog `copies` times over `jobs` workers and return
  * the number of tests checked.  Each run builds a fresh runner (the
  * queue is consumed by run()) but the models come from per-worker
- * factories, exactly as an in-process lkmm-sweep --jobs N does.
+ * factories, exactly as lkmm-sweep --jobs N does.
  */
 std::size_t
-sweepOnce(int jobs, int copies)
+sweepOnce(IsolationMode isolation, int jobs, int copies)
 {
     static const std::unique_ptr<Model> shared =
         ModelRegistry::instance().make("lkmm");
 
     BatchOptions opts;
-    opts.isolation = IsolationMode::InProcessParallel;
+    opts.isolation = isolation;
     opts.workers = jobs;
     opts.modelFactory = ModelRegistry::instance().factoryFor("lkmm");
 
@@ -60,21 +61,38 @@ sweepOnce(int jobs, int copies)
 }
 
 void
-BM_SweepCatalog(benchmark::State &state)
+sweepCatalog(benchmark::State &state, IsolationMode isolation)
 {
     const int jobs = static_cast<int>(state.range(0));
     const int copies = 4;
     std::size_t tests = 0;
     for (auto _ : state)
-        tests += sweepOnce(jobs, copies);
+        tests += sweepOnce(isolation, jobs, copies);
     state.SetItemsProcessed(static_cast<std::int64_t>(tests));
     state.counters["jobs"] = static_cast<double>(jobs);
+}
+
+void
+BM_SweepCatalog(benchmark::State &state)
+{
+    sweepCatalog(state, IsolationMode::InProcessParallel);
 }
 BENCHMARK(BM_SweepCatalog)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
     ->Arg(static_cast<long>(lkmm::ThreadPool::hardwareThreads()))
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+void
+BM_SweepCatalogForked(benchmark::State &state)
+{
+    sweepCatalog(state, IsolationMode::Forked);
+}
+BENCHMARK(BM_SweepCatalogForked)
+    ->Arg(1)
+    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
