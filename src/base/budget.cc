@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+
+#include <signal.h>
 
 namespace lkmm
 {
@@ -41,6 +44,14 @@ completenessName(Completeness c)
 namespace
 {
 
+CancelToken g_signal_cancel;
+
+void
+cancelFromSignal(int)
+{
+    g_signal_cancel.cancel(); // single atomic store: async-signal-safe
+}
+
 std::size_t
 scaleCount(std::size_t count, double factor)
 {
@@ -61,6 +72,20 @@ countToString(std::size_t count)
 }
 
 } // namespace
+
+const CancelToken &
+cancelOnSignals()
+{
+    struct sigaction sa;
+    std::memset(&sa, 0, sizeof(sa));
+    sa.sa_handler = cancelFromSignal;
+    sigemptyset(&sa.sa_mask);
+    sa.sa_flags = 0;
+    sigaction(SIGINT, &sa, nullptr);
+    sigaction(SIGTERM, &sa, nullptr);
+    signal(SIGPIPE, SIG_IGN);
+    return g_signal_cancel;
+}
 
 RunBudget
 RunBudget::scaled(double factor) const

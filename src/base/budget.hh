@@ -63,6 +63,20 @@ class CancelToken
     std::atomic<bool> cancelled_{false};
 };
 
+/**
+ * The Ctrl-C path of the command-line tools: install SIGINT and
+ * SIGTERM handlers that cancel the returned process-wide token, and
+ * ignore SIGPIPE, so a reader going away (`... | head`, a dead
+ * client) surfaces as EPIPE on the write, never as process death.
+ * The handler does one relaxed atomic store, which is
+ * async-signal-safe; the tools' loops poll the token and shut down
+ * in order (kill children, flush journals, print partial reports)
+ * outside signal context.  Installed without SA_RESTART, so a
+ * blocking call the signal interrupts returns EINTR instead of
+ * resuming.
+ */
+const CancelToken &cancelOnSignals();
+
 /** Which bound of a RunBudget fired. */
 enum class BoundKind
 {

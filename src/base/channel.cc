@@ -1,6 +1,5 @@
 #include "base/channel.hh"
 
-#include <dirent.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -8,9 +7,7 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
-#include <vector>
 
 #include "base/eintr.hh"
 #include "base/status.hh"
@@ -87,37 +84,6 @@ writeAll(int fd, const char *buf, std::size_t n, const char *faultSite)
     }
 }
 
-/**
- * Close every file descriptor except 0/1/2 and `keep`.  A fork
- * inherits every open fd — listening sockets, other clients'
- * connections, journals — and a long-lived child holding them can
- * delay peer EOFs and keep files pinned long after the parent
- * released them.  Scans /proc/self/fd, so it runs in the child
- * before any other descriptor is created.
- */
-void
-closeInheritedFds(int keep)
-{
-    DIR *dir = ::opendir("/proc/self/fd");
-    if (dir == nullptr)
-        return; // /proc unavailable: keep the inherited fds, degraded
-    const int dirFd = ::dirfd(dir);
-    std::vector<int> toClose;
-    while (struct dirent *entry = ::readdir(dir)) {
-        char *end = nullptr;
-        const long fd = std::strtol(entry->d_name, &end, 10);
-        if (end == entry->d_name || *end != '\0')
-            continue;
-        if (fd > 2 && fd != dirFd && fd != keep)
-            toClose.push_back(static_cast<int>(fd));
-    }
-    ::closedir(dir);
-    // Close after the scan: closing mid-iteration invalidates the
-    // directory stream on some libcs.
-    for (const int fd : toClose)
-        ::close(fd);
-}
-
 void
 setRecvTimeout(int fd, std::chrono::milliseconds timeout)
 {
@@ -192,7 +158,6 @@ serveFrames(int fd, const Handler &handle, const char *replySite)
     ::signal(SIGTERM, SIG_DFL);
     ::signal(SIGINT, SIG_DFL);
     ::signal(SIGPIPE, SIG_IGN);
-    closeInheritedFds(fd);
 
     for (;;) {
         std::optional<std::string> frame;

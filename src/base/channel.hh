@@ -85,8 +85,7 @@ using Handler = std::function<std::string(const std::string &request)>;
  * The persistent child body, called from a subprocess::Child::spawn
  * body with its channel.  It restores SIGTERM/SIGINT to their
  * default disposition (the parent's handlers must not keep a child
- * alive that supervision means to kill) and ignores SIGPIPE, drops
- * every inherited descriptor but the channel and stdio, then
+ * alive that supervision means to kill) and ignores SIGPIPE, then
  * answers each request frame with handle() until EOF.  EOF is the
  * retirement signal (recycle, shutdown or parent death).
  *

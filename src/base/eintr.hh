@@ -10,12 +10,11 @@
  * fault-injection site so lkmm-chaos can prove each loop actually
  * absorbs EINTR (and that the non-EINTR error path still reports).
  *
- * Deliberately NOT used for poll() in cancellation loops: there an
- * EINTR wake-up is the mechanism by which a signal-handler-set
- * CancelToken gets noticed (signal handlers are installed without
- * SA_RESTART for exactly this reason), so those loops re-check
- * cancellation on EINTR at the outer level instead of hiding the
- * wake-up inside a helper.
+ * Deliberately NOT used for the watchdog poll in
+ * subprocess::waitAny: an EINTR there returns to the caller, so the
+ * loop a signal interrupted re-checks its CancelToken at once
+ * instead of at the end of its poll slice.  Callers poll the token
+ * either way; the early return only shortens the wait.
  */
 
 #ifndef LKMM_BASE_EINTR_HH

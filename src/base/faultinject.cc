@@ -8,6 +8,8 @@
 #include <mutex>
 #include <new>
 
+#include <pthread.h>
+
 #include "base/status.hh"
 #include "base/strutil.hh"
 
@@ -48,6 +50,31 @@ std::uint64_t g_plan_hits = 0;
 
 /** Parse the LKMM_FAULT_* variables once, on first use of any site. */
 std::once_flag g_env_once;
+
+/*
+ * A parallel fuzz campaign forks sandboxes from pool threads while
+ * other threads pass armed sites, and a child forked while another
+ * thread held one of the two mutexes would deadlock at its first
+ * site.  Holding both across fork() hands the child unlocked
+ * copies.  The two are never nested anywhere else, so taking filter
+ * then plan cannot invert a lock order.
+ */
+void
+lockForFork()
+{
+    g_filter_mutex.lock();
+    g_plan_mutex.lock();
+}
+
+void
+unlockAfterFork()
+{
+    g_plan_mutex.unlock();
+    g_filter_mutex.unlock();
+}
+
+[[maybe_unused]] const int g_fork_handlers =
+    ::pthread_atfork(lockForFork, unlockAfterFork, unlockAfterFork);
 
 void
 armFromEnv()

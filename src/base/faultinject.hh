@@ -29,7 +29,10 @@
  * second side, and never the one-shot child that re-runs that side
  * alone.  lkmm-fuzz counts such a death as unconfirmed instead of
  * reporting it.  A worker forked after a death starts again from
- * the parent's count.
+ * the parent's count.  A parallel campaign forks sandboxes from
+ * pool threads, so the plan and filter locks are held across fork()
+ * (pthread_atfork): a child forked from any thread finds them
+ * unlocked.
  *
  * Arming is programmatic or via environment variables —
  * LKMM_FAULT_PLAN (comma-separated "site:hit:kind[:tornBytes]"

@@ -4,9 +4,12 @@
 #include <cerrno>
 #include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <utility>
+#include <vector>
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
@@ -54,6 +57,47 @@ applyLimits(const Limits &limits)
         rl.rlim_max = limits.memoryBytes;
         setrlimit(RLIMIT_AS, &rl);
     }
+}
+
+/**
+ * Close every file descriptor except 0/1/2 and `keep`.  A fork
+ * inherits every open fd: listening sockets, other clients'
+ * connections, journals, and the channel end of a child another
+ * thread is spawning at the same moment.  A child holding a
+ * sibling's channel end delays that sibling's EOF until it exits
+ * itself, so the sibling's parent may record a finished child as
+ * timed out; other fds stay pinned long after the parent released
+ * them.  close_range (Linux 5.9) does it in two calls.  Where it
+ * fails (ENOSYS on older kernels, EPERM under some seccomp
+ * profiles), scan /proc/self/fd instead.
+ */
+void
+closeInheritedFds(int keep)
+{
+    const unsigned above = static_cast<unsigned>(std::max(keep + 1, 3));
+    if ((keep <= 3 || ::close_range(3, static_cast<unsigned>(keep - 1),
+                                    0) == 0) &&
+        ::close_range(above, ~0U, 0) == 0)
+        return;
+
+    DIR *dir = ::opendir("/proc/self/fd");
+    if (dir == nullptr)
+        return; // /proc unavailable too: keep the inherited fds
+    const int dirFd = ::dirfd(dir);
+    std::vector<int> toClose;
+    while (struct dirent *entry = ::readdir(dir)) {
+        char *end = nullptr;
+        const long fd = std::strtol(entry->d_name, &end, 10);
+        if (end == entry->d_name || *end != '\0')
+            continue;
+        if (fd > 2 && fd != dirFd && fd != keep)
+            toClose.push_back(static_cast<int>(fd));
+    }
+    ::closedir(dir);
+    // Close after the scan: closing mid-iteration invalidates the
+    // directory stream on some libcs.
+    for (const int fd : toClose)
+        ::close(fd);
 }
 
 void
@@ -117,6 +161,7 @@ Child::spawn(const Body &body, const Limits &limits)
         // or flushing the parent's stdio buffers in a forked copy
         // would corrupt the parent's output.
         ::close(sv[0]);
+        closeInheritedFds(sv[1]);
         if (limits.newProcessGroup) {
             // Become our own group leader so the watchdog can kill
             // the whole group and leak scans can find stragglers.
@@ -324,14 +369,18 @@ Child::retire(std::chrono::milliseconds grace)
 }
 
 std::vector<std::size_t>
-waitAny(const std::vector<Child *> &children)
+waitAny(const std::vector<Child *> &children,
+        std::chrono::milliseconds slice)
 {
     std::vector<std::size_t> done;
     if (children.empty())
         return done;
     std::vector<struct pollfd> fds;
     fds.reserve(children.size());
-    int timeoutMs = -1;
+    int timeoutMs = slice.count() < 0
+        ? -1
+        : static_cast<int>(std::min<std::chrono::milliseconds::rep>(
+              slice.count(), INT_MAX));
     const auto now = std::chrono::steady_clock::now();
     for (const Child *child : children) {
         // A child already at EOF needs no wait: poll ignores its -1.
@@ -349,9 +398,9 @@ waitAny(const std::vector<Child *> &children)
         }
     }
 
-    // poll's EINTR is handled by the caller's loop, NOT hidden in
-    // retryEintr: an EINTR wake-up is how cancellation tokens set
-    // from signal handlers get noticed (see base/eintr.hh).
+    // poll's EINTR returns to the caller, NOT hidden in retryEintr:
+    // a caller's loop re-checks its cancellation token at once
+    // instead of at the end of its slice (see base/eintr.hh).
     int rc;
     if (int injected = faultinject::checkSiteErrno(site::kSubprocessPoll,
                                                    EIO)) {

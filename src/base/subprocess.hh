@@ -38,8 +38,14 @@
  *
  * The child runs in a forked copy of the parent — no exec — so the
  * body can use any library state, but it must not rely on threads
- * (only the forking thread survives fork) and must not touch the
- * parent's fds beyond the channel it is given.
+ * (only the forking thread survives fork).  Every descriptor but
+ * stdio and the channel is closed in the child before the body
+ * runs.  A parallel fuzz campaign spawns from pool threads, and a
+ * lock another thread held at the fork stays held in the child.  A
+ * body may therefore take only locks that are released across fork
+ * (malloc's and stdio's by glibc, base/faultinject's by its atfork
+ * handlers) or that no other parent thread can hold; DESIGN.md
+ * ("Fork safety") lists them.
  */
 
 #ifndef LKMM_BASE_SUBPROCESS_HH
@@ -195,7 +201,8 @@ class Child
 
   private:
     friend std::vector<std::size_t>
-    waitAny(const std::vector<Child *> &children);
+    waitAny(const std::vector<Child *> &children,
+            std::chrono::milliseconds slice);
 
     Child() = default;
 
@@ -220,17 +227,20 @@ class Child
 
 /**
  * The one watchdog wait: poll the channels of `children` until
- * output arrives or the nearest deadline passes.  Drains what
+ * output arrives, the nearest deadline passes or `slice` runs out
+ * (a negative slice waits for the deadlines alone).  Drains what
  * arrives, SIGKILLs every child past its deadline (outcome
  * TimedOut), and returns the indices, in order, of the children
  * that are done — at EOF or killed — and ready for finish().  The
- * result may be empty: output that ended no child, or a signal that
- * interrupted the poll, so a caller's loop re-checks its
- * cancellation token before waiting again.  An empty set returns at
- * once: there is nothing to wait for.  Throws StatusError(Internal)
- * when poll fails.
+ * result may be empty: output that ended no child, a slice that ran
+ * out, or a signal that interrupted the poll, so a caller's loop
+ * re-checks its stop condition before waiting again.  An empty set
+ * returns at once: there is nothing to wait for.  Throws
+ * StatusError(Internal) when poll fails.
  */
-std::vector<std::size_t> waitAny(const std::vector<Child *> &children);
+std::vector<std::size_t>
+waitAny(const std::vector<Child *> &children,
+        std::chrono::milliseconds slice = std::chrono::milliseconds(-1));
 
 /**
  * The synchronous one-shot path: spawn(work), wait out the

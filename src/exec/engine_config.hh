@@ -28,11 +28,6 @@
  *        --engine-time-limit-ms N  per-run wall-clock budget
  *        --engine-max-candidates N
  *        --engine-max-rf N
- *
- *    lkmm-sweep's historic --time-limit-ms, --max-candidates and
- *    --max-rf, lkmm-serve's --time-limit-ms and lkmm-fuzz's
- *    --max-candidates remain as aliases that parse through the same
- *    flags.
  */
 
 #ifndef LKMM_EXEC_ENGINE_CONFIG_HH

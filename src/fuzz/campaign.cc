@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <utility>
 
@@ -156,15 +157,19 @@ runFuzz(const FuzzOptions &opts)
     for (std::size_t i = 0; i < jobs; ++i)
         oracleSets.push_back(makeOracles(oracleSpec, opts.catModelDir));
 
-    // A sequential isolated campaign runs its sides in one persistent
-    // sandbox, retired (and its deaths counted) before returning.
-    std::optional<SideWorker> sandbox;
-    if (jobs == 1 && opts.oracle.isolate)
-        sandbox.emplace(oracleSets[0], opts.oracle);
+    // An isolated campaign runs each oracle set's sides in a
+    // persistent sandbox of its own, retired when runFuzz returns.
+    std::vector<std::unique_ptr<SideWorker>> sandboxes;
+    if (opts.oracle.isolate) {
+        for (const std::vector<Oracle> &oracleSet : oracleSets) {
+            sandboxes.push_back(
+                std::make_unique<SideWorker>(oracleSet, opts.oracle));
+        }
+    }
 
-    /** Evaluate one iteration against one oracle set (any thread). */
-    auto evalIter = [&](std::uint64_t iter,
-                        const std::vector<Oracle> &oracleSet) {
+    /** Evaluate one iteration on the oracle set and sandbox of pool
+     *  thread `thread` (0 for a sequential campaign). */
+    auto evalIter = [&](std::uint64_t iter, std::size_t thread) {
         std::vector<FuzzFinding> found;
         const std::optional<Program> cand =
             candidateFor(seed, iter, pool);
@@ -174,17 +179,13 @@ runFuzz(const FuzzOptions &opts)
         // came straight from diy), so printLitmus cannot throw.
         const std::string source = printLitmus(*cand);
         OracleOptions oracleOpts = opts.oracle;
-        if (jobs > 1) {
-            // Forking from a pool thread inherits other threads'
-            // lock states (malloc, stdio) into the child; parallel
-            // campaigns always evaluate in-process.
-            oracleOpts.isolate = false;
-        }
         oracleOpts.seed = mixSeed(seed, iter);
+        SideWorker *sandbox =
+            sandboxes.empty() ? nullptr : sandboxes[thread].get();
         auto inSandbox = [&](const OracleSide &side) {
             return sandbox->run(side, *cand, source, oracleOpts.seed);
         };
-        for (const Oracle &oracle : oracleSet) {
+        for (const Oracle &oracle : oracleSets[thread]) {
             const std::optional<Finding> finding =
                 sandbox ? runOracle(oracle, *cand, inSandbox)
                         : runOracle(oracle, *cand, oracleOpts);
@@ -254,57 +255,53 @@ runFuzz(const FuzzOptions &opts)
                 report.timedOut = true;
                 break;
             }
-            recordIter(iter, evalIter(iter, oracleSets[0]));
+            recordIter(iter, evalIter(iter, 0));
         }
-        if (sandbox) {
-            report.unconfirmedDeaths = sandbox->unconfirmedDeaths();
-            sandbox.reset();
-        }
-        return report;
-    }
+    } else {
+        // Parallel campaign: evaluate a chunk of iterations on the
+        // pool, then drain the chunk's results in iteration order.  A
+        // worker that observes cancellation skips its iteration; the
+        // drain stops at the first skipped one and discards the rest
+        // of the chunk (they rerun on resume — the candidate stream
+        // is a function of (seed, iter), so nothing is lost).
+        ThreadPool workers(jobs);
 
-    // Parallel campaign: evaluate a chunk of iterations on the pool,
-    // then drain the chunk's results in iteration order.  A worker
-    // that observes cancellation skips its iteration; the drain stops
-    // at the first skipped one and discards the rest of the chunk
-    // (they rerun on resume — the candidate stream is a function of
-    // (seed, iter), so nothing is lost).
-    ThreadPool workers(jobs);
-
-    std::uint64_t iter = report.startIter;
-    while (iter < maxIters) {
-        if (opts.cancel && opts.cancel->cancelled()) {
-            report.cancelled = true;
-            break;
-        }
-        if (outOfTime()) {
-            report.timedOut = true;
-            break;
-        }
-        const std::uint64_t chunk =
-            std::min<std::uint64_t>(maxIters - iter, jobs * 2);
-        auto results = parallelIndexed(
-            workers, static_cast<std::size_t>(chunk),
-            [&](std::size_t k, std::size_t thread)
-                -> std::optional<std::vector<FuzzFinding>> {
-                if (opts.cancel && opts.cancel->cancelled())
-                    return std::nullopt;
-                // Each pool thread owns the oracle set at its index.
-                return evalIter(iter + k, oracleSets[thread]);
-            });
-        bool stopped = false;
-        for (std::uint64_t k = 0; k < chunk; ++k) {
-            if (!results[k]) {
+        std::uint64_t iter = report.startIter;
+        while (iter < maxIters) {
+            if (opts.cancel && opts.cancel->cancelled()) {
                 report.cancelled = true;
-                stopped = true;
                 break;
             }
-            recordIter(iter + k, std::move(*results[k]));
+            if (outOfTime()) {
+                report.timedOut = true;
+                break;
+            }
+            const std::uint64_t chunk =
+                std::min<std::uint64_t>(maxIters - iter, jobs * 2);
+            auto results = parallelIndexed(
+                workers, static_cast<std::size_t>(chunk),
+                [&](std::size_t k, std::size_t thread)
+                    -> std::optional<std::vector<FuzzFinding>> {
+                    if (opts.cancel && opts.cancel->cancelled())
+                        return std::nullopt;
+                    return evalIter(iter + k, thread);
+                });
+            bool stopped = false;
+            for (std::uint64_t k = 0; k < chunk; ++k) {
+                if (!results[k]) {
+                    report.cancelled = true;
+                    stopped = true;
+                    break;
+                }
+                recordIter(iter + k, std::move(*results[k]));
+            }
+            if (stopped)
+                break;
+            iter += chunk;
         }
-        if (stopped)
-            break;
-        iter += chunk;
     }
+    for (const std::unique_ptr<SideWorker> &sandbox : sandboxes)
+        report.unconfirmedDeaths += sandbox->unconfirmedDeaths();
     return report;
 }
 

@@ -6,8 +6,9 @@
  * --max-iters): iteration i derives its own Rng from mixSeed(seed,
  * i), draws a candidate (a diy random cycle or a mutated catalog
  * program), and runs it through every oracle inside the subprocess
- * sandbox: one persistent SideWorker per sequential campaign, with a
- * fresh one-shot child confirming each worker death (fuzz/oracle.hh).
+ * sandbox: one persistent SideWorker per oracle set (one set per
+ * pool thread), with a fresh one-shot child confirming each worker
+ * death (fuzz/oracle.hh).
  * Findings are minimized (fuzz/shrink.hh), deduplicated
  * into signature buckets (fuzz/triage.hh), appended to a
  * crash-tolerant journal, and their repros written to the corpus
@@ -71,21 +72,19 @@ struct FuzzOptions
     bool resume = false;
     /**
      * Sandbox deadline and enumeration limits for each oracle side.
-     * With isolate and jobs == 1, the campaign forks one persistent
-     * side worker; minimization and confirmation re-runs fork one
+     * With isolate, the campaign forks one persistent side worker
+     * per oracle set; minimization and confirmation re-runs fork one
      * one-shot child per side.
      */
     OracleOptions oracle;
     /**
      * Candidate evaluations in flight (min 1).  With jobs > 1,
      * iterations are evaluated concurrently on a thread pool
-     * (base/scheduler.hh) with one oracle set per worker, and the
-     * subprocess sandbox is forcibly disabled: forking from pool
-     * threads inherits arbitrary lock states (malloc, stdio) into
-     * the child.  Findings, minimization results, triage and the
-     * journal are still processed strictly in iteration order, so a
-     * parallel campaign reports and resumes exactly like the
-     * sequential one.
+     * (base/scheduler.hh), each pool thread with an oracle set and,
+     * with oracle.isolate, a side worker of its own.  Findings,
+     * minimization results, triage and the journal are still
+     * processed strictly in iteration order, so a parallel campaign
+     * reports and resumes exactly like the sequential one.
      */
     int jobs = 1;
     /** Minimize findings before recording them. */
@@ -111,8 +110,9 @@ struct FuzzReport
     bool timedOut = false;
     /**
      * Side-worker deaths that the one-shot re-run did not reproduce
-     * (SideWorker::unconfirmedDeaths): not findings, but a leaking or
-     * flaky worker shows up here instead of being absorbed.
+     * (SideWorker::unconfirmedDeaths, summed over the workers): not
+     * findings, but a leaking or flaky worker shows up here instead
+     * of being absorbed.
      */
     std::uint64_t unconfirmedDeaths = 0;
 };

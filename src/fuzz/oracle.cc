@@ -409,9 +409,10 @@ SideWorker::run(const OracleSide &side, const Program &prog,
     opts.seed = seed;
 
     if (!child_) {
-        // Forked from the campaign thread, single-threaded, like the
-        // one-shot children; the state the body keeps lives only in
-        // the child.
+        // Forked from the one thread that owns this worker, while
+        // other pool threads may run; the body takes no lock another
+        // thread can hold (DESIGN.md "Fork safety"), and the state
+        // it keeps lives only in the child.
         child_ = subprocess::Child::spawn([this](int fd) {
             std::string lastSource;
             std::optional<Program> lastProg;

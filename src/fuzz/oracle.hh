@@ -18,13 +18,14 @@
  * segfaults, aborts, or hangs becomes a finding attributed to that
  * side's label (the stack-less "phase tag" of the triage signature)
  * instead of killing the campaign.  runSide forks one one-shot child
- * per side.  A campaign evaluates its sides in one persistent
- * SideWorker instead, and lets a fresh one-shot child confirm every
- * worker death: inputs are deterministic, so only a failure that
- * child reproduces is a finding.  Unknown verdicts (budget
- * truncation) are inconclusive and never produce findings, and
- * Subset oracles only apply to exists-quantified tests (the
- * inclusion direction reverses under forall).
+ * per side.  A campaign evaluates its sides in persistent
+ * SideWorkers instead, one per pool thread, and lets a fresh
+ * one-shot child confirm every worker death: inputs are
+ * deterministic, so only a failure that child reproduces is a
+ * finding.  Unknown verdicts (budget truncation) are inconclusive
+ * and never produce findings, and Subset oracles only apply to
+ * exists-quantified tests (the inclusion direction reverses under
+ * forall).
  */
 
 #ifndef LKMM_FUZZ_ORACLE_HH
@@ -151,10 +152,12 @@ SideOutcome runSide(const OracleSide &side, const Program &prog,
 
 /**
  * The persistent sandbox for the sides of one oracle set: one forked
- * worker evaluates side after side, so a campaign forks once instead
- * of once per side.  Each request carries the side's index in the
- * set, the seed and the candidate's printed litmus text; the worker
- * parses each distinct text once and answers with runSide's payload.
+ * worker evaluates side after side, so a campaign forks once per
+ * oracle set instead of once per side.  Not thread-safe: a parallel
+ * campaign gives each pool thread a worker of its own.  Each request
+ * carries the side's index in the set, the seed and the candidate's
+ * printed litmus text; the worker parses each distinct text once and
+ * answers with runSide's payload.
  *
  * A worker that crashes, overruns opts.deadline, or answers (or is
  * sent) something it cannot handle is reaped, and the side is

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -335,6 +336,14 @@ BatchRunner::runParallel(std::vector<Item *> &pending,
 namespace
 {
 
+/**
+ * The longest the forked dispatch loop waits on its children before
+ * it checks the sweep's stop condition again: a cancel token set by
+ * another thread, or a sweep deadline, stops a hung child within
+ * this.
+ */
+constexpr std::chrono::milliseconds kStopPoll{50};
+
 /** Map a child's exit protocol onto an outcome for its test. */
 ItemOutcome
 decodeChildOutcome(const std::string &name,
@@ -466,15 +475,17 @@ BatchRunner::runForked(std::vector<Item *> &pending,
             live.push_back({std::move(*spawned), item});
         }
 
-        // Wait for output or the nearest deadline.  With every
-        // remaining item failed to spawn the set is empty and this
-        // returns at once; after an EINTR (e.g. SIGINT) it returns
-        // nothing and the loop re-checks the cancel token.
+        // Wait for output, the nearest deadline or kStopPoll.  With
+        // every remaining item failed to spawn the set is empty and
+        // this returns at once; after the slice or an EINTR (e.g.
+        // SIGINT) it returns nothing and the loop re-checks the
+        // cancel token and the sweep budget.
         std::vector<subprocess::Child *> children;
         children.reserve(live.size());
         for (Live &l : live)
             children.push_back(&l.child);
-        const std::vector<std::size_t> done = subprocess::waitAny(children);
+        const std::vector<std::size_t> done =
+            subprocess::waitAny(children, kStopPoll);
 
         std::vector<Live> still;
         still.reserve(live.size());

@@ -25,7 +25,8 @@
  *  - process isolation (IsolationMode::Forked): each test runs in
  *    a forked child under setrlimit caps and a parent watchdog
  *    (base/subprocess.hh), with up to `workers` children in
- *    flight; a SIGSEGV or OOM kill in one test becomes a
+ *    flight, all spawned and waited on by the calling thread; a
+ *    SIGSEGV or OOM kill in one test becomes a
  *    TestFailure{phase:"crash"} record, a deadline overrun a
  *    TestFailure{phase:"timeout"}, and the sweep continues;
  *  - in-process checking (IsolationMode::InProcessParallel, the
@@ -289,8 +290,10 @@ class BatchRunner
      * Run the sweep.  Never throws on per-test errors; every queued
      * test ends up in exactly one of results or failures.  With a
      * cancel token in the budget, cancellation stops dispatching,
-     * leaves the in-flight test unrecorded (it reruns on resume),
-     * and returns the partial report with cancelled=true.
+     * leaves the in-flight tests unrecorded (they rerun on resume;
+     * forked children are killed, even hung ones without a task
+     * deadline), and returns the partial report with
+     * cancelled=true.  No forked child outlives run().
      */
     BatchReport run();
 

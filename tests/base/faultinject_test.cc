@@ -2,18 +2,23 @@
  * @file
  * The fault-site registry and plan machinery (base/faultinject):
  * site catalog integrity, plan parsing and validation, one-shot
- * k-th-hit semantics, and the three firing entry points.
+ * k-th-hit semantics, the three firing entry points, and children
+ * forked while another thread passes an armed site.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/faultinject.hh"
 #include "base/status.hh"
+#include "base/subprocess.hh"
 
 namespace lkmm::faultinject
 {
@@ -241,6 +246,42 @@ TEST_F(FaultPlanTest, SetPlansReplacesAndEmptyListDeactivates)
     setPlans({a});
     setPlans({}); // replace with nothing: fully disarmed
     checkSite(site::kBatchItem);
+    EXPECT_FALSE(planFired());
+}
+
+TEST_F(FaultPlanTest, ChildForkedWhileAnotherThreadPassesASiteRuns)
+{
+    // An armed plan that never fires keeps every passage on the
+    // locked path: the filter mutex, then the plan mutex.  One thread
+    // passes the site in a loop while this one forks children that
+    // each pass it once; a child forked while the spinner held a
+    // mutex would deadlock there until its watchdog.
+    FaultPlan never;
+    never.site = site::kEnumerate;
+    never.hit = ~std::uint64_t{0};
+    setPlan(never);
+
+    std::atomic<bool> stop{false};
+    std::thread spinner([&stop] {
+        while (!stop.load())
+            checkSite(site::kEnumerate, "spinner");
+    });
+    subprocess::Limits limits;
+    limits.deadline = std::chrono::seconds(5);
+    for (int i = 0; i < 200; ++i) {
+        const subprocess::Outcome out = subprocess::runIsolated(
+            [] {
+                checkSite(site::kEnumerate, "child");
+                return std::string("ok");
+            },
+            limits);
+        EXPECT_TRUE(out.ok() && out.output == "ok")
+            << "child " << i << " " << out.describe();
+        if (!out.ok())
+            break;
+    }
+    stop.store(true);
+    spinner.join();
     EXPECT_FALSE(planFired());
 }
 

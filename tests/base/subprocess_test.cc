@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
 
@@ -288,6 +289,48 @@ TEST(Subprocess, WaitAnyReturnsAtOnceForAnEmptySet)
 {
     // The zero-fd poll with no deadline would block forever.
     EXPECT_TRUE(subprocess::waitAny({}).empty());
+}
+
+TEST(Subprocess, WaitAnyReturnsWhenTheSliceRunsOut)
+{
+    // A hung child with no deadline: each slice ends without it, so
+    // a caller can check its stop condition and kill it.
+    subprocess::Child child =
+        subprocess::Child::spawn([](int) -> int {
+            struct timespec ts = {30, 0};
+            nanosleep(&ts, nullptr);
+            return 0;
+        });
+    const std::vector<subprocess::Child *> one{&child};
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_TRUE(subprocess::waitAny(one, 50ms).empty());
+    EXPECT_TRUE(subprocess::waitAny(one, 50ms).empty());
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_GE(elapsed, 100ms);
+    EXPECT_LT(elapsed, 5s);
+    child.kill();
+    const Outcome out = child.finish();
+    EXPECT_EQ(out.kind, ExitKind::Signaled);
+    EXPECT_EQ(out.signal, SIGKILL);
+}
+
+TEST(Subprocess, ChildHoldsNoInheritedDescriptor)
+{
+    // Parallel fuzz campaigns spawn children from several threads at
+    // once: one that kept a sibling's channel end would delay the
+    // sibling's EOF until it exits itself.  A pipe opened before the
+    // spawn stands in for that channel.
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    const Outcome out = runIsolated([&fds] {
+        const bool open = ::fcntl(fds[0], F_GETFD) != -1 ||
+            ::fcntl(fds[1], F_GETFD) != -1;
+        return std::string(open ? "open" : "closed");
+    });
+    ::close(fds[0]);
+    ::close(fds[1]);
+    ASSERT_TRUE(out.ok()) << out.describe();
+    EXPECT_EQ(out.output, "closed");
 }
 
 TEST(Subprocess, OutcomeCarriesThePid)

@@ -289,11 +289,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SideTransport,
                          ::testing::Values(1, 2, 7919));
 
 /**
- * Sandboxed campaigns (isolate, jobs == 1) run their sides in one
- * persistent worker.  The fault plans are armed in this process:
- * the worker and every one-shot child inherit them over fork, and
- * the campaign itself never enumerates, so its own hit counters
- * stay at zero.
+ * Sandboxed campaigns (isolate) run each oracle set's sides in one
+ * persistent worker, one set per pool thread.  The fault plans are
+ * armed in this process: the workers and every one-shot child
+ * inherit them over fork, and the campaign itself never enumerates,
+ * so its own hit counters stay at zero.
  */
 class SandboxedCampaign : public ::testing::Test
 {
@@ -356,6 +356,28 @@ TEST_F(SandboxedCampaign, InjectedCrashGivesTheOneShotBuckets)
     expectNoChildren();
 }
 
+TEST_F(SandboxedCampaign, ParallelCampaignContainsTheCrashLikeSequential)
+{
+    // At jobs 2 each pool thread forks a side worker of its own; the
+    // crash stays in the sandbox and lands the sequential buckets.
+    faultinject::setPlan(
+        faultinject::FaultPlan::parse("enumerate:1:crash"));
+    faultinject::setFilter(target().name);
+
+    FuzzOptions opts = sandboxedOpts(kTarget + 4);
+    const FuzzReport sequential = runFuzz(opts);
+    ASSERT_FALSE(sequential.triage.buckets().empty());
+
+    opts.jobs = 2;
+    const FuzzReport parallel = runFuzz(opts);
+    EXPECT_EQ(parallel.iters, sequential.iters);
+    EXPECT_EQ(signaturesOf(parallel), signaturesOf(sequential));
+    EXPECT_EQ(parallel.triage.totalFindings(),
+              sequential.triage.totalFindings());
+    EXPECT_EQ(parallel.unconfirmedDeaths, 0u);
+    expectNoChildren();
+}
+
 TEST_F(SandboxedCampaign, InjectedHangTimesOutAndTheCampaignGoesOn)
 {
     faultinject::setPlan(
@@ -408,11 +430,15 @@ TEST_F(SandboxedCampaign, WorkerOnlyDeathIsCountedNotReported)
 
 TEST_F(SandboxedCampaign, NoChildOutlivesTheCampaign)
 {
-    const FuzzReport report = runFuzz(sandboxedOpts(30));
-    EXPECT_EQ(report.iters, 30u);
-    EXPECT_EQ(report.triage.totalFindings(), 0u);
-    EXPECT_EQ(report.unconfirmedDeaths, 0u);
-    expectNoChildren();
+    for (const int jobs : {1, 2}) {
+        FuzzOptions opts = sandboxedOpts(30);
+        opts.jobs = jobs;
+        const FuzzReport report = runFuzz(opts);
+        EXPECT_EQ(report.iters, 30u) << "jobs " << jobs;
+        EXPECT_EQ(report.triage.totalFindings(), 0u) << "jobs " << jobs;
+        EXPECT_EQ(report.unconfirmedDeaths, 0u) << "jobs " << jobs;
+        expectNoChildren();
+    }
 }
 
 TEST(TriageDb, DeduplicatesBySignature)

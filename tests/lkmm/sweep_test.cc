@@ -2,16 +2,25 @@
  * @file
  * The crash-isolated, resumable sweep engine: forked-mode crash and
  * deadline isolation (a batch-item crash or hang plan, filtered to
- * one test), journal record round trips, resume-after-kill
- * equivalence with an uninterrupted run, torn-tail recovery, and
- * duplicate-name hardening.
+ * one test), the forked memory cap at every worker count, a cancel
+ * token or sweep deadline stopping a forked sweep whose child
+ * hangs, journal record round trips,
+ * resume-after-kill equivalence with an uninterrupted run, torn-tail
+ * recovery, and duplicate-name hardening.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <fstream>
+#include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/faultinject.hh"
@@ -21,6 +30,14 @@
 #include "lkmm/sweep_journal.hh"
 #include "model/lkmm_model.hh"
 #include "model/sc_model.hh"
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define LKMM_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define LKMM_SANITIZED 1
+#endif
+#endif
 
 namespace lkmm
 {
@@ -61,11 +78,83 @@ verdictLines(const BatchReport &report)
     return lines;
 }
 
+/** This process's address space (VmSize) in bytes. */
+std::size_t
+addressSpaceBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    std::size_t pages = 0;
+    statm >> pages;
+    return pages * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+/**
+ * LKMM that maps `bytes` and frees them on each check until one
+ * mapping succeeds in this process: a test that needs that much
+ * address space, and fails every retry without it.  A forked
+ * sweep's parent never checks, so every child maps.
+ */
+class AddressHungryModel : public LkmmModel
+{
+  public:
+    explicit AddressHungryModel(std::size_t bytes) : bytes_(bytes) {}
+
+    std::optional<Violation>
+    check(const CandidateExecution &ex) const override
+    {
+        if (!mapped_) {
+            void *volatile block = std::malloc(bytes_);
+            if (block == nullptr)
+                throw std::bad_alloc();
+            std::free(block);
+            mapped_ = true;
+        }
+        return LkmmModel::check(ex);
+    }
+
+  private:
+    std::size_t bytes_;
+    mutable bool mapped_ = false;
+};
+
 class SweepTest : public ::testing::Test
 {
   protected:
     void SetUp() override { faultinject::reset(); }
     void TearDown() override { faultinject::reset(); }
+
+    /**
+     * Run a forked sweep with two children in flight in which "LB"
+     * hangs with no task deadline: only the sweep's stop condition
+     * can end it.
+     */
+    BatchReport
+    runHungForkedSweep(BatchOptions opts)
+    {
+        faultinject::setPlan(
+            faultinject::FaultPlan::parse("batch-item:1:hang"));
+        faultinject::setFilter(kHung);
+        opts.isolation = IsolationMode::Forked;
+        opts.workers = 2;
+        BatchRunner runner(model, std::move(opts));
+        for (const Program &p : {sb(), mp(), lb(), sbMbs(), wrc()})
+            runner.add(p.name, p);
+        return runner.run();
+    }
+
+    /** The stopped sweep left the hung test unrecorded, never as a
+     *  crash or timeout, and reaped every child it forked. */
+    static void
+    expectHungTestUnrecorded(const BatchReport &report)
+    {
+        EXPECT_EQ(report.find(kHung), nullptr);
+        EXPECT_TRUE(report.failures.empty());
+        errno = 0;
+        EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+        EXPECT_EQ(errno, ECHILD);
+    }
+
+    static constexpr const char *kHung = "LB";
 
     LkmmModel model;
 };
@@ -356,6 +445,67 @@ TEST_F(SweepTest, CancelledSweepReturnsPartialReport)
     BatchReport forkedReport = forked.run();
     EXPECT_TRUE(forkedReport.cancelled);
     EXPECT_TRUE(forkedReport.results.empty());
+}
+
+TEST_F(SweepTest, ForkedMemoryCapIsTheSameAtEveryWorkerCount)
+{
+#ifdef LKMM_SANITIZED
+    GTEST_SKIP() << "sanitizers reserve terabytes of address space";
+#endif
+    // Every child maps 100 MB under a cap 256 MB above this
+    // process's own address space, with one child in flight or
+    // eight: the headroom a test gets must not shrink with --jobs.
+    const AddressHungryModel hungry(100u << 20);
+    for (const int workers : {1, 8}) {
+        BatchOptions opts;
+        opts.isolation = IsolationMode::Forked;
+        opts.workers = workers;
+        opts.taskMemoryBytes = addressSpaceBytes() + (256u << 20);
+        BatchRunner runner(hungry, opts);
+        for (const Program &p : corpus())
+            runner.add(p.name, p);
+        const BatchReport report = runner.run();
+        for (const TestFailure &f : report.failures) {
+            ADD_FAILURE() << "workers " << workers << ": " << f.test
+                          << " " << f.phase << ": "
+                          << f.status.message();
+        }
+        EXPECT_EQ(report.results.size(), corpus().size());
+    }
+}
+
+TEST_F(SweepTest, CancelStopsAForkedSweepWaitingOnAHungChild)
+{
+    // The token is set from another thread, which no signal wakes:
+    // the loop waiting on the hung child has to poll it.
+    CancelToken cancel;
+    BatchOptions opts;
+    opts.engine.budget.cancel = &cancel;
+    const auto start = std::chrono::steady_clock::now();
+    std::thread canceller([&cancel] {
+        std::this_thread::sleep_for(200ms);
+        cancel.cancel();
+    });
+    const BatchReport report = runHungForkedSweep(opts);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    canceller.join();
+
+    EXPECT_LT(elapsed, 1s);
+    EXPECT_TRUE(report.cancelled);
+    expectHungTestUnrecorded(report);
+}
+
+TEST_F(SweepTest, SweepDeadlineStopsAForkedSweepWaitingOnAHungChild)
+{
+    BatchOptions opts;
+    opts.sweepBudget.wallClock = 300ms;
+    const auto start = std::chrono::steady_clock::now();
+    const BatchReport report = runHungForkedSweep(opts);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+
+    EXPECT_LT(elapsed, 1s);
+    EXPECT_EQ(report.sweepBound, BoundKind::WallClock);
+    expectHungTestUnrecorded(report);
 }
 
 TEST_F(SweepTest, EscapingFailureStopsDispatchAndThrows)

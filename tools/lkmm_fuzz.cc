@@ -19,10 +19,7 @@
 #include <chrono>
 #include <climits>
 #include <cstdio>
-#include <cstring>
 #include <string>
-
-#include <signal.h>
 
 #include "base/budget.hh"
 #include "base/scheduler.hh"
@@ -37,29 +34,6 @@
 
 namespace
 {
-
-lkmm::CancelToken g_cancel;
-
-void
-onSignal(int)
-{
-    g_cancel.cancel(); // single atomic store: async-signal-safe
-}
-
-void
-installSignalHandlers()
-{
-    struct sigaction sa;
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sa_handler = onSignal;
-    sigemptyset(&sa.sa_mask);
-    sa.sa_flags = 0;
-    sigaction(SIGINT, &sa, nullptr);
-    sigaction(SIGTERM, &sa, nullptr);
-    // A reader going away (`... | head`, a dead lkmm-serve client)
-    // must surface as EPIPE on the write, never as process death.
-    signal(SIGPIPE, SIG_IGN);
-}
 
 int
 usage()
@@ -100,14 +74,14 @@ usage()
         "  --no-isolate        evaluate oracles in-process (a crash\n"
         "                      kills the campaign)\n"
         "  --jobs N            evaluate N candidates concurrently\n"
-        "                      (0 = all hardware threads); implies\n"
-        "                      --no-isolate, since forking from pool\n"
-        "                      threads is unsafe.  Findings and the\n"
-        "                      journal stay in iteration order\n"
+        "                      (0 = all hardware threads), each pool\n"
+        "                      thread with a worker process of its\n"
+        "                      own.  Findings and the journal stay in\n"
+        "                      iteration order\n"
         "  --task-deadline-ms N  per-side watchdog deadline, the\n"
         "                      only sandbox cap (default 10000)\n"
-        "  --max-candidates N  per-side candidate cap\n"
-        "                      (default 200000)\n"
+        "  --engine-max-candidates (below) caps each side at 200000\n"
+        "  candidates by default here.\n"
         "\n"
         "output:\n"
         "  --summary FORMAT    text (default) or json\n"
@@ -195,9 +169,6 @@ main(int argc, char **argv)
             } else if (arg == "--task-deadline-ms")
                 opts.oracle.deadline =
                     parseDuration<std::chrono::milliseconds>(arg, next());
-            else if (arg == "--max-candidates")
-                opts.oracle.engine.parseFlag("--engine-max-candidates",
-                                             next);
             else if (opts.oracle.engine.parseFlag(arg, next))
                 ; // shared --engine-family flag
             else if (arg == "--replay")
@@ -229,8 +200,7 @@ main(int argc, char **argv)
                           opts.oracle, quiet);
         }
 
-        installSignalHandlers();
-        opts.cancel = &g_cancel;
+        opts.cancel = &cancelOnSignals();
         if (!quiet) {
             // On --resume the journal's seed/oracles override these
             // requested values; the post-run report has the truth.
@@ -241,8 +211,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(opts.seed),
                 static_cast<unsigned long long>(opts.maxIters),
                 opts.oracles.c_str(),
-                opts.oracle.isolate && opts.jobs <= 1 ? "sandboxed"
-                                                      : "in-process",
+                opts.oracle.isolate ? "sandboxed" : "in-process",
                 std::max(1, opts.jobs),
                 opts.resume ? " (resuming: journal settings win)"
                             : "");

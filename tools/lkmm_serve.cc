@@ -34,13 +34,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
-
-#include <signal.h>
 
 #include "base/budget.hh"
 #include "base/status.hh"
@@ -49,29 +46,6 @@
 
 namespace
 {
-
-lkmm::CancelToken g_cancel;
-
-void
-onSignal(int)
-{
-    g_cancel.cancel(); // single atomic store: async-signal-safe
-}
-
-void
-installSignalHandlers()
-{
-    struct sigaction sa;
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sa_handler = onSignal;
-    sigemptyset(&sa.sa_mask);
-    sa.sa_flags = 0; // no SA_RESTART: the run loop must wake up
-    sigaction(SIGINT, &sa, nullptr);
-    sigaction(SIGTERM, &sa, nullptr);
-    // A peer closing its socket mid-write must surface as EPIPE on
-    // that one connection, not kill the whole daemon.
-    signal(SIGPIPE, SIG_IGN);
-}
 
 int
 usage()
@@ -105,7 +79,6 @@ usage()
         "                         sound Unknown (default 64, 0 = off)\n"
         "  --deadline-ms N        default per-request deadline\n"
         "  --max-deadline-ms N    cap on client-requested deadlines\n"
-        "  --time-limit-ms N      per-request wall-clock budget\n"
         "  --max-frame-bytes N    reject larger frames (default 1MiB)\n"
         "  --cache FILE           verdict-cache journal (omit for a\n"
         "                         memory-only cache)\n"
@@ -176,7 +149,7 @@ struct Options
 };
 
 int
-runDaemon(const Options &opt)
+runDaemon(const Options &opt, const lkmm::CancelToken &cancel)
 {
     lkmm::serve::Server server(opt.serve);
     if (!opt.quiet) {
@@ -185,7 +158,7 @@ runDaemon(const Options &opt)
                     opt.serve.model.c_str());
         std::fflush(stdout);
     }
-    server.run(&g_cancel);
+    server.run(&cancel);
     const lkmm::serve::ServerStats s = server.stats();
     const lkmm::serve::CacheStats c = server.cacheStats();
     if (!opt.quiet) {
@@ -514,8 +487,6 @@ main(int argc, char **argv)
             else if (arg == "--max-deadline-ms")
                 opt.serve.maxDeadline =
                     parseDuration<milliseconds>(arg, next());
-            else if (arg == "--time-limit-ms")
-                opt.serve.engine.parseFlag("--engine-time-limit-ms", next);
             else if (arg == "--max-frame-bytes")
                 opt.serve.maxFrameBytes = static_cast<std::uint32_t>(
                     parseCount(arg, next(), UINT32_MAX));
@@ -538,7 +509,7 @@ main(int argc, char **argv)
         }
     }
 
-    installSignalHandlers();
+    const lkmm::CancelToken &cancel = lkmm::cancelOnSignals();
 
     try {
         if (opt.selfSmoke)
@@ -555,7 +526,7 @@ main(int argc, char **argv)
             opt.oversizedProbe || opt.malformedProbe)
             return runClient(opt);
         opt.serve.defaultDeadline = opt.deadline;
-        return runDaemon(opt);
+        return runDaemon(opt, cancel);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "lkmm-serve: %s\n", e.what());
         return 1;

@@ -16,6 +16,7 @@
  * Ctrl-C (SIGINT/SIGTERM) trips a cancellation token: the sweep
  * stops dispatching, kills in-flight children, flushes the journal
  * and still prints a partial report — rerun with --resume to finish.
+ * The sweep polls the token, also while its children run.
  *
  * Exit status: 0 all tests produced results, 1 usage or fatal
  * error, 2 sweep completed but some tests failed or diverged,
@@ -23,19 +24,15 @@
  */
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
-
-#include <signal.h>
 
 #include "base/budget.hh"
 #include "base/scheduler.hh"
@@ -48,37 +45,6 @@
 
 namespace
 {
-
-/**
- * The Ctrl-C path.  A signal handler may only do async-signal-safe
- * work, so it performs exactly one relaxed atomic store into the
- * CancelToken; the sweep loops poll the token and do the orderly
- * shutdown (kill children, flush journal, partial report) outside
- * signal context.  No SA_RESTART: the forked scheduler's poll()
- * must return EINTR so the loop re-checks the token promptly.
- */
-lkmm::CancelToken g_cancel;
-
-void
-onSignal(int)
-{
-    g_cancel.cancel(); // single atomic store: async-signal-safe
-}
-
-void
-installSignalHandlers()
-{
-    struct sigaction sa;
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sa_handler = onSignal;
-    sigemptyset(&sa.sa_mask);
-    sa.sa_flags = 0;
-    sigaction(SIGINT, &sa, nullptr);
-    sigaction(SIGTERM, &sa, nullptr);
-    // A reader going away (`... | head`, a dead lkmm-serve client)
-    // must surface as EPIPE on the write, never as process death.
-    signal(SIGPIPE, SIG_IGN);
-}
 
 int
 usage()
@@ -117,10 +83,8 @@ usage()
         "                      journal\n"
         "  --resume            skip tests already in --journal\n"
         "\n"
-        "budgets (0 = unlimited):\n"
-        "  --time-limit-ms N   per-test wall-clock budget\n"
-        "  --max-candidates N  per-test candidate cap\n"
-        "  --max-rf N          per-test rf-assignment cap\n"
+        "budgets (0 = unlimited; per-test budgets are the\n"
+        "--engine-* flags below):\n"
         "  --retries N         escalating-budget retries\n"
         "  --escalation F      budget scale per retry, >= 1 (default 8)\n"
         "  --sweep-time-limit-ms N  whole-sweep wall-clock budget,\n"
@@ -257,12 +221,6 @@ main(int argc, char **argv)
                 opts.journalPath = next();
             else if (arg == "--resume")
                 opts.resume = true;
-            else if (arg == "--time-limit-ms")
-                opts.engine.parseFlag("--engine-time-limit-ms", next);
-            else if (arg == "--max-candidates")
-                opts.engine.parseFlag("--engine-max-candidates", next);
-            else if (arg == "--max-rf")
-                opts.engine.parseFlag("--engine-max-rf", next);
             else if (arg == "--retries")
                 opts.retry.budgetRetries =
                     static_cast<int>(parseCount(arg, next(), INT_MAX));
@@ -317,8 +275,7 @@ main(int argc, char **argv)
             opts.crossCheck = crossCheck.get();
         }
 
-        installSignalHandlers();
-        opts.engine.budget.cancel = &g_cancel;
+        opts.engine.budget.cancel = &cancelOnSignals();
 
         BatchRunner runner(*model, opts);
         if (useCatalog) {
