@@ -4,15 +4,17 @@
  * union, compose, closure and acyclic at n = 16/64/256, each in the
  * classic allocating form (value-returning operators, a fresh heap
  * matrix per call) and the destination-passing form (kernels writing
- * into a reused arena destination).  CI records the run as
- * BENCH_relation.json.
+ * into a reused arena destination), plus the rf-first engine's
+ * per-rf forced-coherence fixpoint (relation/saturation.hh).  CI
+ * records the run as BENCH_relation.json.
  *
  * Beyond the speed ratio, this binary is the zero-allocation proof
  * for the hot path: a TU-local counting operator new tallies every
  * heap allocation, and each destination-passing benchmark asserts
  * the steady state performs none — the counter is reported as the
  * "allocs_per_iter" counter in the JSON artifact, and a non-zero
- * value in any *Into benchmark aborts the run.  That is the
+ * value in any *Into benchmark or in the saturation benchmark aborts
+ * the run.  That is the
  * "zero per-candidate heap allocations" acceptance check in a form
  * CI can gate.
  */
@@ -21,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -28,6 +31,7 @@
 #include "relation/arena.hh"
 #include "relation/kernels.hh"
 #include "relation/relation.hh"
+#include "relation/saturation.hh"
 
 /* ------------------------------------------------------------------ */
 /* Counting operator new: global within this binary only.             */
@@ -265,6 +269,86 @@ BM_AcyclicLevels(benchmark::State &state)
     });
 }
 BENCHMARK(BM_AcyclicLevels)->Arg(16)->Arg(64)->Arg(256);
+
+/**
+ * One saturating rf: `copies` independent blocks of ten events, each
+ * two locations written from three threads with an rmw on x reading
+ * another thread's write, so the coherence and atomicity passes both
+ * run (each block forces one co edge and leaves two pairs open).
+ */
+struct SaturationCase
+{
+    std::size_t n = 0;
+    Relation poLoc;
+    Relation rf;
+    Relation rmw;
+    Relation intRel;
+    std::vector<std::vector<EventId>> writesByLoc;
+    std::vector<EventId> initWrites;
+};
+
+SaturationCase
+saturationCase(std::size_t copies)
+{
+    SaturationCase c;
+    c.n = 10 * copies;
+    c.poLoc = Relation(c.n);
+    c.rf = Relation(c.n);
+    c.rmw = Relation(c.n);
+    c.intRel = Relation(c.n);
+    for (std::size_t k = 0; k < copies; ++k) {
+        // b: init x, b+1: init y.  Thread 0: b+2 W x, b+3 W y.
+        // Thread 1: b+4 R y, then the rmw b+5 R x / b+6 W x.
+        // Thread 2: b+7 W x, b+8 W y, b+9 R x.
+        const EventId b = static_cast<EventId>(10 * k);
+        c.initWrites.push_back(b);
+        c.initWrites.push_back(b + 1);
+        c.writesByLoc.push_back({b + 2, b + 6, b + 7});
+        c.writesByLoc.push_back({b + 3, b + 8});
+        c.rf.add(b + 3, b + 4);
+        c.rf.add(b + 2, b + 5);
+        c.rf.add(b + 7, b + 9);
+        c.rmw.add(b + 5, b + 6);
+        c.poLoc.add(b + 5, b + 6);
+        c.poLoc.add(b + 7, b + 9);
+        for (const std::vector<EventId> &thread :
+             {std::vector<EventId>{b + 2, b + 3},
+              std::vector<EventId>{b + 4, b + 5, b + 6},
+              std::vector<EventId>{b + 7, b + 8, b + 9}}) {
+            for (EventId x : thread) {
+                for (EventId y : thread) {
+                    if (x != y)
+                        c.intRel.add(x, y);
+                }
+            }
+        }
+    }
+    return c;
+}
+
+void
+BM_SaturateForcedCo(benchmark::State &state)
+{
+    const SaturationCase c =
+        saturationCase(static_cast<std::size_t>(state.range(0)));
+    const rel::SaturationSupport support{true, true};
+    RelationArena arena;
+    Relation forced(arena, c.n);
+    rel::SaturationScratch scratch;
+    std::size_t forcedEdges = 0;
+    countedLoop(state, /*requireZero=*/true, [&] {
+        rel::clear(forced);
+        scratch.prepare(arena, c.n);
+        const rel::SaturationResult res = rel::saturateForcedCo(
+            forced, c.poLoc, c.rf, c.rmw, c.intRel, c.writesByLoc,
+            c.initWrites, support, scratch);
+        benchmark::DoNotOptimize(res.forcedEdges);
+        benchmark::DoNotOptimize(forced.row(0));
+        forcedEdges = res.forcedEdges;
+    });
+    state.counters["forced_edges"] = static_cast<double>(forcedEdges);
+}
+BENCHMARK(BM_SaturateForcedCo)->Arg(1)->Arg(4)->Arg(16);
 
 } // namespace
 } // namespace lkmm

@@ -84,14 +84,24 @@ crc32(const std::string &data)
 std::string
 encodeLine(const json::Value &record)
 {
-    const std::string payload = record.serialize();
-    json::Object wrapper;
-    wrapper["crc"] = json::Value(format("%08x", crc32(payload)));
-    wrapper["data"] = record;
-    // Serializing the wrapper re-serializes data identically
-    // (serialize() is canonical), so the checksum the reader
-    // recomputes matches the one stored here.
-    return json::Value(std::move(wrapper)).serialize() + "\n";
+    return encodeLine(record.serialize());
+}
+
+std::string
+encodeLine(const std::string &payload)
+{
+    // The canonical serialization of {"crc":C,"data":D} ("crc" sorts
+    // first), spelled out so the payload is not parsed or copied
+    // into a wrapper Value; the checksum the reader recomputes from
+    // its re-serialized data matches the one stored here.
+    std::string line;
+    line.reserve(payload.size() + 30);
+    line += "{\"crc\":\"";
+    line += format("%08x", crc32(payload));
+    line += "\",\"data\":";
+    line += payload;
+    line += "}\n";
+    return line;
 }
 
 std::optional<json::Value>
@@ -222,14 +232,19 @@ Writer::~Writer()
     close();
 }
 
-void
+std::size_t
 Writer::append(const json::Value &record)
+{
+    return appendLine(encodeLine(record));
+}
+
+std::size_t
+Writer::appendLine(const std::string &line)
 {
     if (fd_ < 0) {
         throw StatusError(Status(StatusCode::Internal,
                                  "append on a closed journal writer"));
     }
-    const std::string line = encodeLine(record);
     // The torn-write fault: persist a prefix of the record for real,
     // then fail as if the process had died mid-write.  Error, crash,
     // hang and ENOMEM plans on this site fire here too.
@@ -270,6 +285,7 @@ Writer::append(const json::Value &record)
         if (::fdatasync(fd_) != 0)
             ioError("journal fdatasync failed", "");
     }
+    return line.size();
 }
 
 void

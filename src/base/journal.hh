@@ -42,7 +42,10 @@
  * proves it catches).
  *
  * The journal is deliberately generic: records are json::Value
- * objects; the sweep-record schema lives in lkmm/sweep_journal.hh.
+ * objects, or their canonical serialization for callers that keep
+ * records as text (encodeLine's payload overload, which the serve
+ * verdict cache uses); the sweep-record schema lives in
+ * lkmm/sweep_journal.hh.
  */
 
 #ifndef LKMM_BASE_JOURNAL_HH
@@ -63,6 +66,15 @@ std::uint32_t crc32(const std::string &data);
 
 /** One record rendered as a checksummed journal line (with '\n'). */
 std::string encodeLine(const json::Value &record);
+
+/**
+ * The same line from the record's serialized bytes: `payload` must
+ * equal json::Value::serialize() of the record (canonical JSON),
+ * since decodeLine() checks the CRC against that re-serialization.
+ * Lets a caller that keeps records as canonical text journal them
+ * without rebuilding a Value.
+ */
+std::string encodeLine(const std::string &payload);
 
 /**
  * Decode one line (without trailing '\n').  nullopt when the line
@@ -134,8 +146,14 @@ class Writer
     Writer &operator=(const Writer &) = delete;
     ~Writer();
 
-    /** Append one record and flush it to the file. */
-    void append(const json::Value &record);
+    /**
+     * Append one record and flush it to the file.
+     * @return the bytes written, i.e. encodeLine(record).size().
+     */
+    std::size_t append(const json::Value &record);
+
+    /** Append a line built by encodeLine(); returns its size. */
+    std::size_t appendLine(const std::string &line);
 
     /** fdatasync the file. */
     void sync();

@@ -20,8 +20,10 @@ typeError(const char *wanted)
                              std::string("json value is not ") + wanted));
 }
 
+} // namespace
+
 void
-appendEscaped(std::string &out, const std::string &s)
+appendEscaped(std::string &out, std::string_view s)
 {
     out += '"';
     for (unsigned char c : s) {
@@ -45,6 +47,9 @@ appendEscaped(std::string &out, const std::string &s)
     }
     out += '"';
 }
+
+namespace
+{
 
 void serializeInto(const Value &v, std::string &out, int indent, int depth);
 

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -138,6 +139,13 @@ getFields(const Value &record, T &v,
 
 /** A vector of strings as a JSON array value. */
 Value stringArray(const std::vector<std::string> &strings);
+
+/**
+ * Append `s` as a quoted JSON string: exactly the bytes serialize()
+ * writes for Value(std::string(s)).  Lets callers build canonical
+ * documents by concatenation around already-serialized parts.
+ */
+void appendEscaped(std::string &out, std::string_view s);
 
 } // namespace lkmm::json
 

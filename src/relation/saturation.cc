@@ -1,5 +1,8 @@
 #include "relation/saturation.hh"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <optional>
 
@@ -42,6 +45,24 @@ coImpossible(const Relation &closure, const Relation &rf, EventId b,
             return true;
     }
     return false;
+}
+
+/** Call fn(a, b) for every pair of r, in lexicographic order. */
+template <typename Fn>
+void
+forEachPair(const Relation &r, Fn fn)
+{
+    const std::size_t stride = r.strideWords();
+    for (EventId a = 0; a < r.size(); ++a) {
+        const std::uint64_t *row = r.row(a);
+        for (std::size_t w = 0; w < stride; ++w) {
+            for (std::uint64_t bits = row[w]; bits != 0;
+                 bits &= bits - 1) {
+                fn(a, static_cast<EventId>(w * 64 +
+                                           std::countr_zero(bits)));
+            }
+        }
+    }
 }
 
 } // namespace
@@ -89,18 +110,21 @@ saturateForcedCo(Relation &forcedCo, const Relation &poLoc,
 
     const bool broken = saturation_testing::brokenRule();
 
-    // writeLoc[w] = location index, for the atomicity pass.
-    std::vector<std::size_t> write_loc(n, static_cast<std::size_t>(-1));
+    // Location of every write, for the atomicity pass.  The maps
+    // live in the scratch: refilled per rf, never reallocated.
+    std::vector<std::size_t> &write_loc = scratch.writeLoc;
+    std::fill(write_loc.begin(), write_loc.end(),
+              static_cast<std::size_t>(-1));
     for (std::size_t l = 0; l < writesByLoc.size(); ++l) {
         write_loc[initWrites[l]] = l;
         for (EventId w : writesByLoc[l])
             write_loc[w] = l;
     }
 
-    // rfSrc[r] = the write r reads from (every read has one).
-    std::vector<EventId> rf_src(n, static_cast<EventId>(n));
-    for (const auto &[w, r] : rf.pairs())
-        rf_src[r] = w;
+    // The write each read reads from (every read has one).
+    std::vector<EventId> &rf_src = scratch.rfSrc;
+    std::fill(rf_src.begin(), rf_src.end(), static_cast<EventId>(n));
+    forEachPair(rf, [&](EventId w, EventId r) { rf_src[r] = w; });
 
     bool changed = true;
     while (changed) {
@@ -164,10 +188,12 @@ saturateForcedCo(Relation &forcedCo, const Relation &poLoc,
         // w0, the axiom forbids fre(r, w') ; coe(w', w), i.e.
         // co(w0, w') together with co(w', w) for an external w'.
         if (support.atomicity) {
-            for (const auto &[r, w] : rmw.pairs()) {
+            forEachPair(rmw, [&](EventId r, EventId w) {
+                if (res.contradiction)
+                    return;
                 const EventId w0 = rf_src[r];
                 if (w0 >= n || write_loc[w] >= writesByLoc.size())
-                    continue;
+                    return;
                 const std::size_t l = write_loc[w];
                 auto scanW = [&](EventId wp) {
                     if (wp == w0 || wp == w)
@@ -205,9 +231,9 @@ saturateForcedCo(Relation &forcedCo, const Relation &poLoc,
                 scanW(initWrites[l]);
                 for (EventId wp : writesByLoc[l])
                     scanW(wp);
-                if (res.contradiction)
-                    return res;
-            }
+            });
+            if (res.contradiction)
+                return res;
         }
     }
 

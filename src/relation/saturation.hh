@@ -84,16 +84,21 @@ struct SaturationResult
 };
 
 /**
- * Reusable intermediates of the fixpoint (the closure, fr, and an
- * inverse scratch).  prepare() sizes them for a universe; the arena
- * overload carves the words from a RelationArena so the per-rf
- * steady state allocates nothing, mirroring the staged finalize.
+ * Reusable intermediates of the fixpoint (the closure, fr, an
+ * inverse scratch, and the per-event location and rf-source maps).
+ * prepare() sizes them for a universe; the arena overload carves the
+ * relation words from a RelationArena so the per-rf steady state
+ * allocates nothing, mirroring the staged finalize.
  */
 struct SaturationScratch
 {
     Relation closure;
     Relation fr;
     Relation inv;
+    /** writeLoc[w] = location index of write w. */
+    std::vector<std::size_t> writeLoc;
+    /** rfSrc[r] = the write read r reads from. */
+    std::vector<EventId> rfSrc;
 
     void
     prepare(std::size_t n)
@@ -103,6 +108,8 @@ struct SaturationScratch
             fr = Relation(n);
             inv = Relation(n);
         }
+        writeLoc.resize(n);
+        rfSrc.resize(n);
     }
 
     void
@@ -113,6 +120,8 @@ struct SaturationScratch
             fr = Relation(arena, n);
             inv = Relation(arena, n);
         }
+        writeLoc.resize(n);
+        rfSrc.resize(n);
     }
 };
 

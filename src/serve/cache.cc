@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "base/faultinject.hh"
+#include "base/json.hh"
 #include "base/status.hh"
 #include "litmus/printer.hh"
 
@@ -19,14 +20,40 @@ canonicalFingerprint(const Program &prog, const std::string &rawSource)
 
 std::string
 cacheKey(const std::string &fingerprint, const std::string &modelSpec,
-         const EngineConfig &engine)
+         const std::string &engineJson)
 {
-    json::Object key;
-    key["fp"] = fingerprint;
-    key["model"] = modelSpec;
-    key["engine"] = engine.toJson();
-    return json::Value(std::move(key)).serialize();
+    // The fields in canonical (sorted) order: engine < fp < model.
+    std::string key;
+    key.reserve(engineJson.size() + fingerprint.size() +
+                modelSpec.size() + 32);
+    key += "{\"engine\":";
+    key += engineJson;
+    key += ",\"fp\":";
+    json::appendEscaped(key, fingerprint);
+    key += ",\"model\":";
+    json::appendEscaped(key, modelSpec);
+    key += '}';
+    return key;
 }
+
+namespace
+{
+
+/** The canonical journal record {"key":K,"result":R} of an entry. */
+std::string
+recordPayload(const std::string &key, const std::string &result)
+{
+    std::string record;
+    record.reserve(key.size() + result.size() + 64);
+    record += "{\"key\":";
+    json::appendEscaped(record, key);
+    record += ",\"result\":";
+    record += result;
+    record += '}';
+    return record;
+}
+
+} // namespace
 
 VerdictCache::VerdictCache(CacheOptions opts) : opts_(std::move(opts))
 {
@@ -41,21 +68,24 @@ VerdictCache::VerdictCache(CacheOptions opts) : opts_(std::move(opts))
         const json::Value *result = record.get("result");
         if (!key || !key->isString() || !result)
             continue; // foreign record shape: ignore, don't reject
+        // Copied, not moved, into the entry: a copy holds no spare
+        // capacity from the serializer's growth.
+        const std::string text = result->serialize();
         auto it = index_.find(key->asString());
         if (it != index_.end()) {
             // Later appends win, and count as a use for LRU order.
-            it->second->second = *result;
+            it->second->result = text;
             lru_.splice(lru_.begin(), lru_, it->second);
             continue;
         }
-        lru_.emplace_front(key->asString(), *result);
-        index_[key->asString()] = lru_.begin();
+        lru_.push_front(Entry{key->asString(), text});
+        index_.emplace(lru_.front().key, lru_.begin());
     }
     // Journal replay pushes each record to the front, so the list is
     // now newest-first — already LRU order.  Trim to capacity before
     // anyone can hit the excess.
     while (opts_.maxEntries != 0 && lru_.size() > opts_.maxEntries) {
-        index_.erase(lru_.back().first);
+        index_.erase(lru_.back().key);
         lru_.pop_back();
     }
     stats_.recoveredEntries = lru_.size();
@@ -70,7 +100,7 @@ VerdictCache::~VerdictCache()
     close();
 }
 
-std::optional<json::Value>
+std::optional<std::string>
 VerdictCache::lookup(const std::string &key)
 {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -81,11 +111,11 @@ VerdictCache::lookup(const std::string &key)
     }
     ++stats_.hits;
     lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->second;
+    return it->second->result;
 }
 
 void
-VerdictCache::insert(const std::string &key, const json::Value &result)
+VerdictCache::insert(const std::string &key, const std::string &result)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = index_.find(key);
@@ -95,10 +125,10 @@ VerdictCache::insert(const std::string &key, const json::Value &result)
         lru_.splice(lru_.begin(), lru_, it->second);
         return;
     }
-    lru_.emplace_front(key, result);
-    index_[key] = lru_.begin();
+    lru_.push_front(Entry{key, result});
+    index_.emplace(lru_.front().key, lru_.begin());
     ++stats_.insertions;
-    appendLocked(key, result);
+    appendLocked(lru_.front());
     evictLocked();
     if (writer_ && opts_.compactBytes != 0 &&
         journalBytes_ > opts_.compactBytes) {
@@ -107,20 +137,15 @@ VerdictCache::insert(const std::string &key, const json::Value &result)
 }
 
 void
-VerdictCache::appendLocked(const std::string &key,
-                           const json::Value &result)
+VerdictCache::appendLocked(const Entry &entry)
 {
     if (!writer_)
         return;
     try {
         faultinject::checkSite(faultinject::site::kServeCacheWrite,
-                               key.c_str());
-        json::Object record;
-        record["key"] = key;
-        record["result"] = result;
-        const json::Value value(std::move(record));
-        writer_->append(value);
-        journalBytes_ += journal::encodeLine(value).size();
+                               entry.key.c_str());
+        journalBytes_ += writer_->appendLine(
+            journal::encodeLine(recordPayload(entry.key, entry.result)));
     } catch (...) {
         // The append may have left a torn record; anything written
         // after it would be unrecoverable (recovery stops at the
@@ -139,7 +164,7 @@ void
 VerdictCache::evictLocked()
 {
     while (opts_.maxEntries != 0 && lru_.size() > opts_.maxEntries) {
-        index_.erase(lru_.back().first);
+        index_.erase(lru_.back().key);
         lru_.pop_back();
         ++stats_.evictions;
     }
@@ -158,12 +183,8 @@ VerdictCache::compactLocked()
         // Oldest-first, so replaying the compacted journal rebuilds
         // the exact LRU order the live cache has now.
         for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-            json::Object record;
-            record["key"] = it->first;
-            record["result"] = it->second;
-            const json::Value value(std::move(record));
-            tmp.append(value);
-            bytes += journal::encodeLine(value).size();
+            bytes += tmp.appendLine(
+                journal::encodeLine(recordPayload(it->key, it->result)));
         }
         tmp.close();
         writer_->close();

@@ -9,14 +9,27 @@
  *
  *     key = canonical-serialized {engine, fp, model}
  *
- * to the verdict result object the server would have computed cold.
- * The fingerprint `fp` is the PR-3 printer fixpoint of the parsed
- * program — printLitmus(parseLitmus(src)) — so any two sources that
- * parse to the same program share an entry regardless of whitespace,
- * comments, or register spelling (unprintable programs fall back to
- * their raw source and still cache exact repeats).  Because result
- * objects are stored verbatim and json serialization is canonical, a
- * cache hit is byte-identical to the cold response.
+ * to the canonical JSON text of the verdict result object the server
+ * would have computed cold.  The fingerprint `fp` is the PR-3
+ * printer fixpoint of the parsed program — printLitmus(parseLitmus(
+ * src)) — so any two sources that parse to the same program share an
+ * entry regardless of whitespace, comments, or register spelling
+ * (unprintable programs fall back to their raw source and still cache
+ * exact repeats).
+ *
+ * Entries are bytes, not json::Value trees: one node per entry holds
+ * the key string and the result's serialize() text, and the hash
+ * index keys a string_view into that node (list nodes never move),
+ * so the key is stored once.  Everything built from an entry is
+ * concatenation around those bytes — the hit reply, the journal
+ * record {"key":K,"result":R} and its CRC line — and every piece is
+ * canonical, so each equals what serializing the equivalent Value
+ * would give: a cache hit is byte-identical to the cold response, and
+ * each journal line is what journal::encodeLine(Value) writes for the
+ * same record.
+ * An entry of a 382-byte key and a 229-byte result (a small diy
+ * test's verdict) takes about 805 bytes of live glibc heap on
+ * x86-64; size --cache-max-entries from that.
  *
  * Persistence rides the CRC-journaled JSONL layer (base/journal):
  * each insert appends {"key":K,"result":R}; reopening replays the
@@ -47,12 +60,10 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
-#include <utility>
 
 #include "base/journal.hh"
-#include "base/json.hh"
-#include "exec/engine_config.hh"
 #include "litmus/program.hh"
 
 namespace lkmm::serve
@@ -68,14 +79,16 @@ std::string canonicalFingerprint(const Program &prog,
 
 /**
  * The cache key: canonical JSON of every verdict-relevant input —
- * the program fingerprint, the model spec, and the engine config's
- * own canonical JSON (exec/engine_config.hh).  EngineConfig
- * serialization is deterministic, so equal configs always share
- * entries.
+ * {"engine":E,"fp":F,"model":M} with the program fingerprint, the
+ * model spec, and the engine config's own canonical JSON
+ * (exec/engine_config.hh), built by concatenation.  `engineJson` is
+ * json::Value(engine.toJson()).serialize(), which a server computes
+ * once; EngineConfig serialization is deterministic, so equal
+ * configs always share entries.
  */
 std::string cacheKey(const std::string &fingerprint,
                      const std::string &modelSpec,
-                     const EngineConfig &engine);
+                     const std::string &engineJson);
 
 struct CacheStats
 {
@@ -121,15 +134,20 @@ class VerdictCache
     VerdictCache(const VerdictCache &) = delete;
     VerdictCache &operator=(const VerdictCache &) = delete;
 
-    /** The stored result for key, refreshing its LRU position. */
-    std::optional<json::Value> lookup(const std::string &key);
+    /**
+     * The stored result's canonical JSON text for key, refreshing
+     * its LRU position.
+     */
+    std::optional<std::string> lookup(const std::string &key);
 
     /**
-     * Insert (or refresh) an entry.  Passes the serve-cache-write
-     * fault site; journal failures are absorbed (see file comment),
-     * never propagated to the caller.
+     * Insert (or refresh) an entry.  `result` must be canonical JSON
+     * (json::Value::serialize() text): it is stored, journaled and
+     * replied verbatim.  Passes the serve-cache-write fault site;
+     * journal failures are absorbed (see file comment), never
+     * propagated to the caller.
      */
-    void insert(const std::string &key, const json::Value &result);
+    void insert(const std::string &key, const std::string &result);
 
     /** fdatasync the journal (no-op for memory-only). */
     void flush();
@@ -145,18 +163,25 @@ class VerdictCache
     std::uint64_t journalBytes() const;
 
   private:
-    using Entry = std::pair<std::string, json::Value>;
+    struct Entry
+    {
+        std::string key;
+        /** Canonical JSON text of the result object. */
+        std::string result;
+    };
+    using Lru = std::list<Entry>;
 
     /** Append one record; on failure demote to memory-only. Locked. */
-    void appendLocked(const std::string &key, const json::Value &result);
+    void appendLocked(const Entry &entry);
     void compactLocked();
     void evictLocked();
 
     mutable std::mutex mutex_;
     CacheOptions opts_;
-    /** Front = most recently used. */
-    std::list<Entry> lru_;
-    std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+    /** Front = most recently used.  Nodes never move, so index_
+     *  keys view each node's own key string. */
+    Lru lru_;
+    std::unordered_map<std::string_view, Lru::iterator> index_;
     std::optional<journal::Writer> writer_;
     std::uint64_t journalBytes_ = 0;
     CacheStats stats_;

@@ -24,8 +24,8 @@ namespace lkmm::serve
 namespace
 {
 
-json::Value
-errorValue(const Status &status)
+std::string
+errorReply(const Status &status)
 {
     json::Object o;
     o["status"] = "error";
@@ -37,7 +37,7 @@ errorValue(const Status &status)
     // not parse messages.
     o["retryable"] =
         retry::classify(status) == retry::FailureClass::Transient;
-    return o;
+    return json::Value(std::move(o)).serialize();
 }
 
 /**
@@ -48,8 +48,8 @@ errorValue(const Status &status)
  * from load (queue-full, deadline, worker-unavailable) heal once
  * pressure drops; a quarantine refusal never does.
  */
-json::Value
-shedValue(const char *reason, bool retryable, int retryAfterMs,
+std::string
+shedReply(const char *reason, bool retryable, int retryAfterMs,
           const std::string &detail = std::string())
 {
     json::Object o;
@@ -60,7 +60,7 @@ shedValue(const char *reason, bool retryable, int retryAfterMs,
     o["retry_after_ms"] = static_cast<std::int64_t>(retryAfterMs);
     if (!detail.empty())
         o["detail"] = detail;
-    return o;
+    return json::Value(std::move(o)).serialize();
 }
 
 /**
@@ -69,8 +69,8 @@ shedValue(const char *reason, bool retryable, int retryAfterMs,
  * sound Unknown, the daemon keeps serving).  Crashes are retryable
  * until the quarantine decides the input itself is the poison.
  */
-json::Value
-crashValue(const char *reason, const std::string &detail,
+std::string
+crashReply(const char *reason, const std::string &detail,
            bool retryable, int retryAfterMs)
 {
     json::Object o;
@@ -80,17 +80,25 @@ crashValue(const char *reason, const std::string &detail,
     o["verdict"] = verdictName(Verdict::Unknown);
     o["retryable"] = retryable;
     o["retry_after_ms"] = static_cast<std::int64_t>(retryAfterMs);
-    return o;
+    return json::Value(std::move(o)).serialize();
 }
 
-json::Value
-okValue(bool cached, json::Value result)
+/**
+ * {"cached":C,"result":R,"status":"ok"} around a result's canonical
+ * text.  The fields are in canonical order, so the bytes are those of
+ * serializing the equivalent object: a hit replies exactly what its
+ * cold run replied, but for the marker.
+ */
+std::string
+okReply(bool cached, const std::string &result)
 {
-    json::Object o;
-    o["status"] = "ok";
-    o["cached"] = cached;
-    o["result"] = std::move(result);
-    return o;
+    std::string reply;
+    reply.reserve(result.size() + 48);
+    reply += cached ? "{\"cached\":true" : "{\"cached\":false";
+    reply += ",\"result\":";
+    reply += result;
+    reply += ",\"status\":\"ok\"}";
+    return reply;
 }
 
 } // namespace
@@ -119,6 +127,7 @@ Server::Server(ServeOptions opts)
     // Fail configuration errors here, before the daemon is ready:
     // the default model spec, the cache journal, then the socket.
     validateSpec(opts_.model);
+    engineJson_ = json::Value(opts_.engine.toJson()).serialize();
     cache_.emplace(opts_.cache);
     // The isolated worker processes, with the count-based poison-pill
     // quarantine in front of them.  Spawn failures don't throw — the
@@ -300,7 +309,7 @@ Server::serveConnection(int fd)
                 // report the error, then drop the connection.
                 try {
                     channel::writeFrame(
-                        fd, errorValue(status).serialize(),
+                        fd, errorReply(status),
                         faultinject::site::kServeResponseWrite);
                 } catch (...) {
                 }
@@ -319,9 +328,9 @@ Server::serveConnection(int fd)
             std::lock_guard<std::mutex> lock(statsMutex_);
             ++stats_.requests;
         }
-        const json::Value response = handleFrame(*payload);
+        const std::string response = handleFrame(*payload);
         try {
-            channel::writeFrame(fd, response.serialize(),
+            channel::writeFrame(fd, response,
                                 faultinject::site::kServeResponseWrite);
         } catch (...) {
             // The client died while we replied; the verdict (and
@@ -336,7 +345,7 @@ Server::serveConnection(int fd)
     }
 }
 
-json::Value
+std::string
 Server::handleFrame(const std::string &payload)
 {
     json::Value request;
@@ -345,7 +354,7 @@ Server::handleFrame(const std::string &payload)
     } catch (const std::exception &e) {
         std::lock_guard<std::mutex> lock(statsMutex_);
         ++stats_.errors;
-        return errorValue(statusOf(e));
+        return errorReply(statusOf(e));
     }
     const std::string op = request.getString("op", "verify");
     if (op == "verify")
@@ -362,40 +371,40 @@ Server::handleFrame(const std::string &payload)
         o["isolation"] = "workers";
         o["workers"] = workerPool_->healthJson();
         o["quarantine_size"] = quarantine_.size();
-        return o;
+        return json::Value(std::move(o)).serialize();
     }
     if (op == "stats") {
         json::Object o;
         o["status"] = "ok";
         o["stats"] = statsObject();
-        return o;
+        return json::Value(std::move(o)).serialize();
     }
     if (op == "shutdown") {
         shutdownRequested_.store(true);
         json::Object o;
         o["status"] = "ok";
         o["draining"] = true;
-        return o;
+        return json::Value(std::move(o)).serialize();
     }
     {
         std::lock_guard<std::mutex> lock(statsMutex_);
         ++stats_.errors;
     }
-    return errorValue(Status(
+    return errorReply(Status(
         StatusCode::InvalidArgument,
         format("unknown op \"%s\" (known: verify, ping, stats, "
                "shutdown)",
                op.c_str())));
 }
 
-json::Value
+std::string
 Server::handleVerify(const json::Value &request)
 {
     const json::Value *litmus = request.get("litmus");
     if (!litmus || !litmus->isString()) {
         std::lock_guard<std::mutex> lock(statsMutex_);
         ++stats_.errors;
-        return errorValue(Status(
+        return errorReply(Status(
             StatusCode::InvalidArgument,
             "verify request is missing the \"litmus\" source field"));
     }
@@ -409,21 +418,23 @@ Server::handleVerify(const json::Value &request)
     } catch (const std::exception &e) {
         std::lock_guard<std::mutex> lock(statsMutex_);
         ++stats_.errors;
-        return errorValue(statusOf(e));
+        return errorReply(statusOf(e));
     }
 
     const std::string key = cacheKey(
         canonicalFingerprint(prog, litmus->asString()), spec,
-        opts_.engine);
+        engineJson_);
 
     // Cache hits are answered from the connection thread and never
     // touch the verification queue — repeat traffic is ~free and
     // cannot be shed.
     if (!nocache && cache_) {
-        if (std::optional<json::Value> hit = cache_->lookup(key)) {
-            std::lock_guard<std::mutex> lock(statsMutex_);
-            ++stats_.cacheHits;
-            return okValue(true, std::move(*hit));
+        if (std::optional<std::string> hit = cache_->lookup(key)) {
+            {
+                std::lock_guard<std::mutex> lock(statsMutex_);
+                ++stats_.cacheHits;
+            }
+            return okReply(true, *hit);
         }
     }
 
@@ -435,7 +446,7 @@ Server::handleVerify(const json::Value &request)
             std::lock_guard<std::mutex> lock(statsMutex_);
             ++stats_.quarantineRefusals;
         }
-        return shedValue("quarantined", /*retryable=*/false, 0,
+        return shedReply("quarantined", /*retryable=*/false, 0,
                          quarantine_.lastSignature(key));
     }
 
@@ -448,7 +459,7 @@ Server::handleVerify(const json::Value &request)
         pending_.fetch_sub(1, std::memory_order_relaxed);
         std::lock_guard<std::mutex> lock(statsMutex_);
         ++stats_.shedQueueFull;
-        return shedValue("queue-full", /*retryable=*/true, 25);
+        return shedReply("queue-full", /*retryable=*/true, 25);
     }
     // Released on every path out of here, exceptions included.
     struct PendingSlot
@@ -479,7 +490,7 @@ Server::handleVerify(const json::Value &request)
     } catch (const std::exception &e) {
         std::lock_guard<std::mutex> lock(statsMutex_);
         ++stats_.errors;
-        return errorValue(statusOf(e));
+        return errorReply(statusOf(e));
     }
 }
 
@@ -498,7 +509,7 @@ Server::validateSpec(const std::string &spec)
     validatedSpecs_.insert(spec);
 }
 
-json::Value
+std::string
 Server::dispatchToWorker(
     const Program &prog, const std::string &spec,
     const std::string &key, const std::string &source, bool nocache,
@@ -522,24 +533,26 @@ Server::dispatchToWorker(
     const WorkerOutcome out = workerPool_->execute(wreq);
     switch (out.kind) {
       case WorkerOutcome::Kind::Ok: {
-        json::Value result = out.result;
-        // The parent owns the cache (PR-7 journal semantics are
-        // untouched by the fork boundary).  Only complete runs are
-        // cached: an Unknown from a truncated run describes this
-        // run's budget, not the test, and must never be replayed.
+        // Serialized once: the same bytes are stored, journaled and
+        // replied.  The parent owns the cache (PR-7 journal
+        // semantics are untouched by the fork boundary).  Only
+        // complete runs are cached: an Unknown from a truncated run
+        // describes this run's budget, not the test, and must never
+        // be replayed.
+        const std::string result = out.result.serialize();
         if (!nocache && cache_ &&
-            result.getString("completeness", "") ==
+            out.result.getString("completeness", "") ==
                 completenessName(Completeness::Complete)) {
             cache_->insert(key, result);
         }
-        return okValue(false, std::move(result));
+        return okReply(false, result);
       }
       case WorkerOutcome::Kind::Error: {
         {
             std::lock_guard<std::mutex> lock(statsMutex_);
             ++stats_.errors;
         }
-        return errorValue(out.error);
+        return errorReply(out.error);
       }
       case WorkerOutcome::Kind::Crashed:
       case WorkerOutcome::Kind::TimedOut: {
@@ -555,7 +568,7 @@ Server::dispatchToWorker(
         quarantine_.record(
             key, retry::failureSignature(
                      "worker", Status(StatusCode::Internal, out.detail)));
-        return crashValue(timedOut ? "worker-timeout"
+        return crashReply(timedOut ? "worker-timeout"
                                    : "worker-crash",
                           out.detail, /*retryable=*/true, 100);
       }
@@ -568,13 +581,13 @@ Server::dispatchToWorker(
     if (hasDeadline) {
         std::lock_guard<std::mutex> lock(statsMutex_);
         ++stats_.shedDeadline;
-        return shedValue("deadline", /*retryable=*/true, 100);
+        return shedReply("deadline", /*retryable=*/true, 100);
     }
     {
         std::lock_guard<std::mutex> lock(statsMutex_);
         ++stats_.shedWorkerUnavailable;
     }
-    return shedValue("worker-unavailable", /*retryable=*/true, 50);
+    return shedReply("worker-unavailable", /*retryable=*/true, 50);
 }
 
 json::Value

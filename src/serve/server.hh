@@ -195,9 +195,9 @@ class Server
     void serveConnection(int fd);
     void reapConnections(bool all);
 
-    /** Dispatch one request payload; never throws. */
-    json::Value handleFrame(const std::string &payload);
-    json::Value handleVerify(const json::Value &request);
+    /** Dispatch one request payload to its reply; never throws. */
+    std::string handleFrame(const std::string &payload);
+    std::string handleVerify(const json::Value &request);
     /**
      * Throw for an unknown or invalid model spec (registry rules).
      * A spec is validated once: a cat file is not re-parsed per
@@ -210,7 +210,7 @@ class Server
      * outcome (crash/timeout/deadline → sound Unknown, the
      * quarantine ledger updated), cache complete results.
      */
-    json::Value dispatchToWorker(
+    std::string dispatchToWorker(
         const Program &prog, const std::string &spec,
         const std::string &key, const std::string &source,
         bool nocache, bool hasDeadline,
@@ -218,6 +218,8 @@ class Server
     json::Value statsObject() const;
 
     ServeOptions opts_;
+    /** opts_.engine's canonical JSON, the engine part of every key. */
+    std::string engineJson_;
     int listenFd_ = -1;
     std::optional<VerdictCache> cache_;
     std::optional<WorkerPool> workerPool_;

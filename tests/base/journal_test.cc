@@ -10,9 +10,11 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "base/journal.hh"
 #include "base/json.hh"
+#include "base/strutil.hh"
 
 namespace lkmm
 {
@@ -70,6 +72,63 @@ TEST_F(JournalTest, LineRoundTrip)
         journal::decodeLine(line.substr(0, line.size() - 1));
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, rec);
+}
+
+/** The line as a {"crc","data"} Value, serialized whole. */
+std::string
+wrapperLine(const json::Value &rec)
+{
+    json::Object wrapper;
+    wrapper["crc"] =
+        json::Value(format("%08x", journal::crc32(rec.serialize())));
+    wrapper["data"] = rec;
+    return json::Value(std::move(wrapper)).serialize() + "\n";
+}
+
+TEST(Journal, EncodeLineMatchesWrapperEncoding)
+{
+    const std::vector<std::string> texts = {
+        "plain",
+        "quote \" and backslash \\ inside",
+        "control \x01\x1f\b\f\n\r\t bytes",
+        std::string("nul \0 byte", 10),
+        "non-ASCII \xc3\xa9\xe2\x88\x80 \xff\xfe bytes",
+        "",
+    };
+    for (const std::string &text : texts) {
+        json::Object o;
+        o["name"] = text;
+        o["seq"] = json::Value(std::int64_t{-7});
+        o[text + "/key"] = json::Value(2.5);
+        o["nested"] = json::Value(json::Array{
+            json::Value(text), json::Value(nullptr), json::Value(true)});
+        const json::Value rec(std::move(o));
+        const std::string expected = wrapperLine(rec);
+        EXPECT_EQ(journal::encodeLine(rec), expected);
+        EXPECT_EQ(journal::encodeLine(rec.serialize()), expected);
+        std::optional<json::Value> back =
+            journal::decodeLine(expected.substr(0, expected.size() - 1));
+        ASSERT_TRUE(back.has_value());
+        EXPECT_EQ(*back, rec);
+    }
+}
+
+TEST_F(JournalTest, AppendReturnsTheBytesItWrote)
+{
+    const std::string p = path("append_bytes");
+    std::uint64_t total = 0;
+    {
+        journal::Writer w = journal::Writer::create(p);
+        total += w.append(record(0));
+        total += w.appendLine(journal::encodeLine(record(1).serialize()));
+        EXPECT_EQ(total, journal::encodeLine(record(0)).size() +
+                             journal::encodeLine(record(1)).size());
+    }
+    EXPECT_EQ(readFile(p).size(), total);
+    const journal::RecoverResult r = journal::recover(p);
+    ASSERT_EQ(r.records.size(), 2u);
+    EXPECT_EQ(r.records[1], record(1));
+    std::remove(p.c_str());
 }
 
 TEST_F(JournalTest, DecodeRejectsCorruption)

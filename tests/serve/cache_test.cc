@@ -8,13 +8,29 @@
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "base/faultinject.hh"
+#include "exec/engine_config.hh"
 #include "litmus/parser.hh"
 #include "serve/cache.hh"
+
+// Sanitizer allocators bypass glibc malloc, so mallinfo2() does not
+// see their heap.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define LKMM_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define LKMM_SANITIZED 1
+#endif
+#endif
 
 namespace lkmm::serve
 {
@@ -30,13 +46,20 @@ journalPath(const std::string &name)
     return path;
 }
 
-json::Value
+/** A result object's canonical text, as the cache stores it. */
+std::string
 result(const std::string &test, const std::string &verdict)
 {
     json::Object o;
     o["test"] = json::Value(test);
     o["verdict"] = json::Value(verdict);
-    return json::Value(std::move(o));
+    return json::Value(std::move(o)).serialize();
+}
+
+std::string
+engineJson(const EngineConfig &engine)
+{
+    return json::Value(engine.toJson()).serialize();
 }
 
 TEST(VerdictCache, LruHitMissAndEviction)
@@ -77,7 +100,7 @@ TEST(VerdictCache, PersistsAcrossReopenByteIdentically)
 {
     CacheOptions opts;
     opts.path = journalPath("persist");
-    const json::Value stored = result("MP", "Allow");
+    const std::string stored = result("MP", "Allow");
     {
         VerdictCache cache(opts);
         cache.insert("key1", stored);
@@ -89,7 +112,7 @@ TEST(VerdictCache, PersistsAcrossReopenByteIdentically)
     EXPECT_FALSE(warm.stats().droppedTail);
     const auto hit = warm.lookup("key1");
     ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->serialize(), stored.serialize())
+    EXPECT_EQ(*hit, stored)
         << "replayed result must be byte-identical";
 }
 
@@ -185,6 +208,73 @@ TEST(VerdictCache, AppendFailureDemotesToMemoryOnly)
     EXPECT_EQ(cold.stats().recoveredEntries, 0u);
 }
 
+/** Live heap bytes per glibc, mmapped chunks included. */
+std::size_t
+liveHeapBytes()
+{
+    const struct mallinfo2 mi = mallinfo2();
+    return mi.uordblks + mi.hblkhd;
+}
+
+TEST(VerdictCache, FootprintPerEntryIsBounded)
+{
+#ifdef LKMM_SANITIZED
+    GTEST_SKIP() << "sanitizer allocators bypass mallinfo2";
+#else
+    // Entries shaped like lkmm-serve misses on fresh diy tests (on
+    // average a 374-byte key and a 260-byte result): a renamed
+    // test's fingerprint under the default engine, and a complete
+    // verdict with its final states.
+    const Program base = parseLitmus(
+        "C MP+pooncerelease+poacquireonce\n\n"
+        "{ x=0; y=0; }\n\n"
+        "P0(int *x, int *y) {\n  WRITE_ONCE(*x, 1);\n"
+        "  smp_store_release(y, 1);\n}\n\n"
+        "P1(int *x, int *y) {\n  int r0 = smp_load_acquire(y);\n"
+        "  int r1 = READ_ONCE(*x);\n}\n\n"
+        "exists (1:r0=1 /\\ 1:r1=0)\n");
+    const std::string engine = engineJson(EngineConfig{});
+    constexpr std::size_t kEntries = 5000;
+    std::vector<std::string> keys;
+    std::vector<std::string> results;
+    std::size_t contentBytes = 0;
+    for (std::size_t i = 0; i < kEntries; ++i) {
+        Program p = base;
+        p.name += "-fresh" + std::to_string(i);
+        keys.push_back(
+            cacheKey(canonicalFingerprint(p, ""), "lkmm", engine));
+        json::Object r;
+        r["test"] = p.name;
+        r["model"] = "lkmm";
+        r["verdict"] = "Forbid";
+        r["completeness"] = "complete";
+        r["bound"] = "none";
+        r["candidates"] = 4;
+        r["allowed"] = 3;
+        r["witnesses"] = 0;
+        r["states"] = json::stringArray(
+            {"1:r0=0; 1:r1=0;", "1:r0=0; 1:r1=1;", "1:r0=1; 1:r1=1;"});
+        results.push_back(json::Value(std::move(r)).serialize());
+        contentBytes += keys.back().size() + results.back().size();
+    }
+
+    VerdictCache cache(CacheOptions{});
+    const std::size_t before = liveHeapBytes();
+    for (std::size_t i = 0; i < kEntries; ++i)
+        cache.insert(keys[i], results[i]);
+    const std::size_t after = liveHeapBytes();
+    ASSERT_EQ(cache.size(), kEntries);
+
+    const double perEntry =
+        static_cast<double>(after - before) / kEntries;
+    const double content =
+        static_cast<double>(contentBytes) / kEntries;
+    EXPECT_LE(perEntry, 2 * content)
+        << perEntry << " heap bytes per entry for " << content
+        << " bytes of key and result";
+#endif
+}
+
 TEST(CacheKey, FingerprintNormalizesSpellingModelSplitsKeys)
 {
     const char *kSpaced = "C MP\n\n{ x=0; y=0; }\n\n"
@@ -210,11 +300,53 @@ TEST(CacheKey, FingerprintNormalizesSpellingModelSplitsKeys)
         << "whitespace must not split cache entries";
 
     const std::string fp = canonicalFingerprint(a, kSpaced);
-    EXPECT_EQ(cacheKey(fp, "lkmm", EngineConfig{}),
-              cacheKey(fp, "lkmm", EngineConfig{}));
-    EXPECT_NE(cacheKey(fp, "lkmm", EngineConfig{}),
-              cacheKey(fp, "sc", EngineConfig{}))
+    const std::string engine = engineJson(EngineConfig{});
+    EXPECT_EQ(cacheKey(fp, "lkmm", engine),
+              cacheKey(fp, "lkmm", engine));
+    EXPECT_NE(cacheKey(fp, "lkmm", engine),
+              cacheKey(fp, "sc", engine))
         << "same test under another model is another entry";
+}
+
+TEST(CacheKey, ConcatenatedKeyMatchesObjectSerialization)
+{
+    const std::string mp = canonicalFingerprint(
+        parseLitmus("C MP\n{ x=0; y=0; }\n"
+                    "P0(int *x, int *y) {\n"
+                    "  WRITE_ONCE(*x, 1);\n"
+                    "  WRITE_ONCE(*y, 1);\n}\n"
+                    "P1(int *x, int *y) {\n"
+                    "  int r0 = READ_ONCE(*y);\n"
+                    "  int r1 = READ_ONCE(*x);\n}\n"
+                    "exists (1:r0=1 /\\ 1:r1=0)\n"),
+        "");
+    const std::vector<std::string> fingerprints = {
+        mp, "", "raw \"source\" with \\ and \x01\t\x1f bytes",
+        "non-ASCII \xc3\xa9 \xff"};
+    const std::vector<std::string> specs = {
+        "lkmm", "sc", "cat:cat/models/lkmm.cat",
+        "cat:dir with \"quote\"\\back\x02.cat", ""};
+    std::vector<EngineConfig> engines(4);
+    engines[1].setMode("brute");
+    engines[2].budget.wallClock = std::chrono::milliseconds(1500);
+    engines[2].budget.maxCandidates = 1000;
+    engines[3].budget.maxRfAssignments = 77;
+    engines[3].setMode("brute");
+
+    for (const std::string &fp : fingerprints) {
+        for (const std::string &spec : specs) {
+            for (const EngineConfig &engine : engines) {
+                // The key as a json::Object, before concatenation.
+                json::Object object;
+                object["fp"] = fp;
+                object["model"] = spec;
+                object["engine"] = engine.toJson();
+                EXPECT_EQ(cacheKey(fp, spec, engineJson(engine)),
+                          json::Value(std::move(object)).serialize())
+                    << spec << " / " << engine.modeName();
+            }
+        }
+    }
 }
 
 TEST(CacheKey, RetiredEngineKeysReplayButNeverMatch)
@@ -231,7 +363,8 @@ TEST(CacheKey, RetiredEngineKeysReplayButNeverMatch)
                     "  int r1 = READ_ONCE(*x);\n}\n"
                     "exists (1:r0=1 /\\ 1:r1=0)\n"),
         "");
-    const std::string key = cacheKey(fp, "lkmm", EngineConfig{});
+    const std::string key =
+        cacheKey(fp, "lkmm", engineJson(EngineConfig{}));
     const std::string current = "\"engine\":\"rf-first\"";
     const std::size_t at = key.find(current);
     ASSERT_NE(at, std::string::npos) << key;

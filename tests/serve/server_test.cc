@@ -190,6 +190,71 @@ TEST(Server, EveryRegistryModelCacheHitIsByteIdentical)
     reborn.stop();
 }
 
+TEST(Server, EscapedNameRepliesAreByteIdenticalAcrossRestartAndCompaction)
+{
+    // A test name the JSON layer must escape, both inside the key's
+    // fingerprint and as the result's "test" field.
+    const std::string name = "a\"b\\c\x01";
+    const std::string source = "C " + name + std::string(kMp).substr(4);
+    const std::vector<std::string> models = {"lkmm", "sc"};
+    ServeOptions opts;
+    opts.socketPath = socketPath("escaped");
+    opts.workers = 2;
+    opts.cache.path = cachePath("escaped");
+
+    // One raw reply frame, which must be canonical JSON.
+    auto verify = [&](const std::string &model) {
+        json::Object req = verifyRequest(source);
+        req["model"] = model;
+        Client client = Client::connect(opts.socketPath);
+        client.setTimeout(std::chrono::milliseconds(60000));
+        client.sendRaw(json::Value(std::move(req)).serialize());
+        const std::string reply = client.receiveRaw().value_or("");
+        EXPECT_EQ(json::Value::parse(reply).serialize(), reply);
+        return reply;
+    };
+
+    // Every later hit must be the cold reply, byte for byte, but
+    // for the cached marker.
+    const std::string coldMarker = "{\"cached\":false,";
+    std::vector<std::string> hitReplies;
+    {
+        Server server(opts);
+        server.start();
+        for (const std::string &model : models) {
+            const std::string cold = verify(model);
+            const json::Value v = json::Value::parse(cold);
+            ASSERT_EQ(v.getString("status"), "ok") << cold;
+            EXPECT_EQ(v.get("result")->getString("test"), name);
+            ASSERT_EQ(cold.compare(0, coldMarker.size(), coldMarker), 0)
+                << cold;
+            hitReplies.push_back("{\"cached\":true," +
+                                 cold.substr(coldMarker.size()));
+            EXPECT_EQ(verify(model), hitReplies.back()) << model;
+        }
+        server.stop();
+    }
+
+    auto expectWarmHits = [&](const char *phase) {
+        Server server(opts);
+        server.start();
+        EXPECT_EQ(server.cacheStats().recoveredEntries, models.size())
+            << phase;
+        for (std::size_t i = 0; i < models.size(); ++i) {
+            EXPECT_EQ(verify(models[i]), hitReplies[i])
+                << models[i] << " " << phase;
+        }
+        server.stop();
+    };
+    expectWarmHits("after restart");
+    {
+        VerdictCache cache(opts.cache);
+        cache.compactNow();
+        EXPECT_EQ(cache.stats().compactions, 1u);
+    }
+    expectWarmHits("after compaction and restart");
+}
+
 TEST(Server, QueueFullShedsWithSoundUnknown)
 {
     ServeOptions opts;
