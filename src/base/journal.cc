@@ -105,7 +105,7 @@ encodeLine(const std::string &payload)
 }
 
 std::optional<json::Value>
-decodeLine(const std::string &line)
+decodeLine(std::string_view line)
 {
     json::Value wrapper;
     try {
@@ -113,14 +113,19 @@ decodeLine(const std::string &line)
     } catch (const std::exception &) {
         return std::nullopt;
     }
-    const json::Value *data = wrapper.get("data");
-    if (!data)
+    if (!wrapper.isObject())
+        return std::nullopt;
+    json::Object &fields = wrapper.asObject();
+    const auto data = fields.find("data");
+    if (data == fields.end())
         return std::nullopt;
     if (!g_crc_checks_disabled.load(std::memory_order_relaxed) &&
-        wrapper.getString("crc") != format("%08x", crc32(data->serialize()))) {
+        wrapper.getString("crc") !=
+            format("%08x", crc32(data->second.serialize()))) {
         return std::nullopt;
     }
-    return *data;
+    // Moved out of the wrapper, which dies here: no deep copy.
+    return std::move(data->second);
 }
 
 RecoverResult
@@ -135,8 +140,13 @@ recover(const std::string &path)
         // Writer open, which reports errno.
         return RecoverResult{};
     }
-    return recoverBytes(std::string(std::istreambuf_iterator<char>(in),
-                                    std::istreambuf_iterator<char>()));
+    // Read in bulk: reading a character at a time took about a
+    // fifth of a serve cache replay.
+    std::string content;
+    char chunk[8192];
+    while (in.read(chunk, sizeof chunk) || in.gcount() > 0)
+        content.append(chunk, static_cast<std::size_t>(in.gcount()));
+    return recoverBytes(content);
 }
 
 RecoverResult
@@ -148,8 +158,8 @@ recoverBytes(const std::string &content)
         const std::size_t nl = content.find('\n', offset);
         if (nl == std::string::npos)
             break; // torn tail: no terminating newline
-        std::optional<json::Value> rec =
-            decodeLine(content.substr(offset, nl - offset));
+        std::optional<json::Value> rec = decodeLine(
+            std::string_view(content).substr(offset, nl - offset));
         if (!rec)
             break; // corrupt line: stop trusting the file here
         result.records.push_back(std::move(*rec));

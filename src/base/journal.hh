@@ -54,6 +54,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/json.hh"
@@ -80,7 +81,7 @@ std::string encodeLine(const std::string &payload);
  * Decode one line (without trailing '\n').  nullopt when the line
  * is torn, malformed, or fails its checksum.
  */
-std::optional<json::Value> decodeLine(const std::string &line);
+std::optional<json::Value> decodeLine(std::string_view line);
 
 /** What recover() salvaged from a journal file. */
 struct RecoverResult

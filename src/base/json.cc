@@ -114,7 +114,7 @@ serializeInto(const Value &v, std::string &out, int indent, int depth)
 class Parser
 {
   public:
-    explicit Parser(const std::string &text) : text_(text) {}
+    explicit Parser(std::string_view text) : text_(text) {}
 
     Value
     parseDocument()
@@ -342,7 +342,7 @@ class Parser
                 ++pos_;
             }
         }
-        const std::string tok = text_.substr(start, pos_ - start);
+        const std::string tok(text_.substr(start, pos_ - start));
         try {
             if (isInteger)
                 return Value(static_cast<std::int64_t>(std::stoll(tok)));
@@ -401,7 +401,7 @@ class Parser
         }
     }
 
-    const std::string &text_;
+    std::string_view text_;
     std::size_t pos_ = 0;
     int depth_ = 0;
 };
@@ -523,7 +523,7 @@ Value::pretty() const
 }
 
 Value
-Value::parse(const std::string &text)
+Value::parse(std::string_view text)
 {
     faultinject::checkSite(faultinject::site::kJsonParse);
     return Parser(text).parseDocument();

@@ -85,7 +85,7 @@ class Value
     std::string pretty() const;
 
     /** Parse one JSON document; trailing garbage is an error. */
-    static Value parse(const std::string &text);
+    static Value parse(std::string_view text);
 
     bool operator==(const Value &other) const { return v_ == other.v_; }
     bool operator!=(const Value &other) const { return v_ != other.v_; }

@@ -157,18 +157,16 @@ runFuzz(const FuzzOptions &opts)
     for (std::size_t i = 0; i < jobs; ++i)
         oracleSets.push_back(makeOracles(oracleSpec, opts.catModelDir));
 
-    // An isolated campaign runs each oracle set's sides in a
-    // persistent sandbox of its own, retired when runFuzz returns.
-    std::vector<std::unique_ptr<SideWorker>> sandboxes;
-    if (opts.oracle.isolate) {
-        for (const std::vector<Oracle> &oracleSet : oracleSets) {
-            sandboxes.push_back(
-                std::make_unique<SideWorker>(oracleSet, opts.oracle));
-        }
-    }
+    // Each oracle set evaluates its candidates through a SideWorker
+    // of its own; with oracle.isolate, each forks one persistent
+    // worker process, retired when runFuzz returns.
+    std::vector<std::unique_ptr<SideWorker>> sideWorkers;
+    for (const std::vector<Oracle> &oracleSet : oracleSets)
+        sideWorkers.push_back(
+            std::make_unique<SideWorker>(oracleSet, opts.oracle));
 
-    /** Evaluate one iteration on the oracle set and sandbox of pool
-     *  thread `thread` (0 for a sequential campaign). */
+    /** Evaluate one iteration on the oracle set and side worker of
+     *  pool thread `thread` (0 for a sequential campaign). */
     auto evalIter = [&](std::uint64_t iter, std::size_t thread) {
         std::vector<FuzzFinding> found;
         const std::optional<Program> cand =
@@ -180,26 +178,21 @@ runFuzz(const FuzzOptions &opts)
         const std::string source = printLitmus(*cand);
         OracleOptions oracleOpts = opts.oracle;
         oracleOpts.seed = mixSeed(seed, iter);
-        SideWorker *sandbox =
-            sandboxes.empty() ? nullptr : sandboxes[thread].get();
-        auto inSandbox = [&](const OracleSide &side) {
-            return sandbox->run(side, *cand, source, oracleOpts.seed);
-        };
-        for (const Oracle &oracle : oracleSets[thread]) {
-            const std::optional<Finding> finding =
-                sandbox ? runOracle(oracle, *cand, inSandbox)
-                        : runOracle(oracle, *cand, oracleOpts);
-            if (!finding)
+        const std::vector<Oracle> &oracles = oracleSets[thread];
+        const std::vector<std::optional<Finding>> findings =
+            sideWorkers[thread]->run(*cand, source, oracleOpts.seed);
+        for (std::size_t k = 0; k < oracles.size(); ++k) {
+            if (!findings[k])
                 continue;
             FuzzFinding f;
             f.iter = iter;
             f.test = cand->name;
-            f.finding = *finding;
+            f.finding = *findings[k];
             f.source = source;
             f.minimized = source;
             if (opts.minimize) {
                 const Program small = minimizeFinding(
-                    *cand, oracle, *finding, oracleOpts,
+                    *cand, oracles[k], *findings[k], oracleOpts,
                     opts.maxShrinkTests);
                 f.minimized = printLitmus(small);
             }
@@ -300,8 +293,10 @@ runFuzz(const FuzzOptions &opts)
             iter += chunk;
         }
     }
-    for (const std::unique_ptr<SideWorker> &sandbox : sandboxes)
-        report.unconfirmedDeaths += sandbox->unconfirmedDeaths();
+    for (const std::unique_ptr<SideWorker> &worker : sideWorkers) {
+        report.unconfirmedDeaths += worker->unconfirmedDeaths();
+        report.workerRequests += worker->requests();
+    }
     return report;
 }
 

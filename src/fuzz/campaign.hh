@@ -6,15 +6,17 @@
  * --max-iters): iteration i derives its own Rng from mixSeed(seed,
  * i), draws a candidate (a diy random cycle or a mutated catalog
  * program), and runs it through every oracle inside the subprocess
- * sandbox: one persistent SideWorker per oracle set (one set per
- * pool thread), with a fresh one-shot child confirming each worker
- * death (fuzz/oracle.hh).
- * Findings are minimized (fuzz/shrink.hh), deduplicated
- * into signature buckets (fuzz/triage.hh), appended to a
- * crash-tolerant journal, and their repros written to the corpus
- * directory.  Because candidates depend only on (seed, i), a resumed
- * campaign replays the identical candidate stream and skips straight
- * to the first iteration the journal has not marked complete.
+ * sandbox.  Each pool thread has an oracle set and a SideWorker
+ * (fuzz/oracle.hh): a candidate costs one request to its persistent
+ * worker process, carrying every distinct side evaluation the
+ * candidate needs, and a fresh one-shot child confirms each side of
+ * a request the worker died on.  Findings are minimized
+ * (fuzz/shrink.hh), deduplicated into signature buckets
+ * (fuzz/triage.hh), appended to a crash-tolerant journal, and their
+ * repros written to the corpus directory.  Because candidates depend
+ * only on (seed, i), a resumed campaign replays the identical
+ * candidate stream and skips straight to the first iteration the
+ * journal has not marked complete.
  */
 
 #ifndef LKMM_FUZZ_CAMPAIGN_HH
@@ -73,18 +75,19 @@ struct FuzzOptions
     /**
      * Sandbox deadline and enumeration limits for each oracle side.
      * With isolate, the campaign forks one persistent side worker
-     * per oracle set; minimization and confirmation re-runs fork one
-     * one-shot child per side.
+     * per oracle set and sends it one request per candidate;
+     * minimization and confirmation re-runs fork one one-shot child
+     * per side.
      */
     OracleOptions oracle;
     /**
      * Candidate evaluations in flight (min 1).  With jobs > 1,
      * iterations are evaluated concurrently on a thread pool
-     * (base/scheduler.hh), each pool thread with an oracle set and,
-     * with oracle.isolate, a side worker of its own.  Findings,
-     * minimization results, triage and the journal are still
-     * processed strictly in iteration order, so a parallel campaign
-     * reports and resumes exactly like the sequential one.
+     * (base/scheduler.hh), each pool thread with an oracle set and a
+     * SideWorker (with oracle.isolate, a worker process) of its own.
+     * Findings, minimization results, triage and the journal are
+     * still processed strictly in iteration order, so a parallel
+     * campaign reports and resumes exactly like the sequential one.
      */
     int jobs = 1;
     /** Minimize findings before recording them. */
@@ -109,12 +112,19 @@ struct FuzzReport
     bool cancelled = false;
     bool timedOut = false;
     /**
-     * Side-worker deaths that the one-shot re-run did not reproduce
-     * (SideWorker::unconfirmedDeaths, summed over the workers): not
-     * findings, but a leaking or flaky worker shows up here instead
-     * of being absorbed.
+     * Side-worker requests that failed (a death, an overrun or a
+     * garbled reply) where no one-shot confirmation reproduced a
+     * hard failure (SideWorker::unconfirmedDeaths, summed over the
+     * workers): not findings, but a leaking or flaky worker shows up
+     * here instead of being absorbed.
      */
     std::uint64_t unconfirmedDeaths = 0;
+    /**
+     * Requests sent to side workers, one per candidate with an
+     * applicable oracle (0 in process).  Not in the summaries, which
+     * read the same sandboxed and in process.
+     */
+    std::uint64_t workerRequests = 0;
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "fuzz/oracle.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <csignal>
 #include <memory>
 #include <sstream>
@@ -50,16 +51,17 @@ signalName(int sig)
     }
 }
 
-/** Side backed by an axiomatic model. */
+/** Side backed by an axiomatic model, identified by `model`. */
 OracleSide
-modelSide(std::string label, std::shared_ptr<const Model> model)
+modelSide(std::string label, std::string model,
+          std::shared_ptr<const Model> impl)
 {
     OracleSide side;
     side.label = std::move(label);
-    side.eval = [model](const Program &prog,
-                        const EngineConfig &engine, std::uint64_t) {
-        return quickVerdict(prog, *model, engine.budget,
-                            engine.enumerate);
+    side.model = std::move(model);
+    side.eval = [impl](const Program &prog, const EngineConfig &engine,
+                       std::uint64_t) {
+        return quickVerdict(prog, *impl, engine.budget, engine.enumerate);
     };
     return side;
 }
@@ -68,31 +70,8 @@ modelSide(std::string label, std::shared_ptr<const Model> model)
 OracleSide
 registrySide(std::string label, const std::string &name)
 {
-    return modelSide(std::move(label),
+    return modelSide(std::move(label), "registry:" + name,
                      ModelRegistry::instance().make(name));
-}
-
-/**
- * Side that pins the engine mode, ignoring the campaign-level
- * --engine flag: the whole point of an engine-differential oracle is
- * that its two sides run different enumeration strategies over the
- * same model.  Budgets and limits from the campaign config still
- * apply.
- */
-OracleSide
-engineSide(std::string label, std::shared_ptr<const Model> model,
-           std::string mode)
-{
-    OracleSide side;
-    side.label = std::move(label);
-    side.eval = [model, mode = std::move(mode)](
-                    const Program &prog, const EngineConfig &engine,
-                    std::uint64_t) {
-        EngineConfig cfg = engine;
-        cfg.setMode(mode);
-        return quickVerdict(prog, *model, cfg.budget, cfg.enumerate);
-    };
-    return side;
 }
 
 /**
@@ -102,11 +81,12 @@ engineSide(std::string label, std::shared_ptr<const Model> model,
  * Subset oracle (absence of evidence never triggers a finding).
  */
 OracleSide
-operationalSide(std::string label, MachineConfig cfg,
-                std::uint64_t runs)
+operationalSide(std::string label, const std::string &name,
+                MachineConfig cfg, std::uint64_t runs)
 {
     OracleSide side;
     side.label = std::move(label);
+    side.model = "machine:" + name + "/" + std::to_string(runs);
     side.eval = [cfg, runs](const Program &prog, const EngineConfig &,
                             std::uint64_t seed) {
         const HarnessResult hr = runHarness(prog, cfg, runs, seed);
@@ -142,11 +122,12 @@ makeOracle(const std::string &name, const std::string &catModelDir)
     if (name == "native-vs-cat") {
         const std::string dir =
             catModelDir.empty() ? LKMM_CAT_MODEL_DIR : catModelDir;
-        auto cat = std::make_shared<CatModel>(
-            CatModel::fromFile(dir + "/lkmm.cat"));
+        const std::string path = dir + "/lkmm.cat";
         o.mode = Oracle::Mode::Equal;
         o.a = registrySide("native-lkmm", "lkmm");
-        o.b = modelSide("cat-lkmm", std::move(cat));
+        o.b = modelSide("cat-lkmm", "cat:" + path,
+                        std::make_shared<CatModel>(
+                            CatModel::fromFile(path)));
         return o;
     }
     if (name == "rf-first-vs-brute") {
@@ -157,13 +138,15 @@ makeOracle(const std::string &name, const std::string &catModelDir)
         std::shared_ptr<const Model> model =
             ModelRegistry::instance().make("lkmm");
         o.mode = Oracle::Mode::Equal;
-        o.a = engineSide("rf-first-lkmm", model, "rf-first");
-        o.b = engineSide("brute-lkmm", model, "brute");
+        o.a = modelSide("rf-first-lkmm", "registry:lkmm", model);
+        o.a.engineMode = "rf-first";
+        o.b = modelSide("brute-lkmm", "registry:lkmm", model);
+        o.b.engineMode = "brute";
         return o;
     }
     if (name == "sc-vs-operational") {
         o.mode = Oracle::Mode::Subset;
-        o.a = operationalSide("op-sc", MachineConfig::sc(), 256);
+        o.a = operationalSide("op-sc", "sc", MachineConfig::sc(), 256);
         o.b = registrySide("native-sc", "sc");
         return o;
     }
@@ -195,7 +178,7 @@ makeOracle(const std::string &name, const std::string &catModelDir)
         o.a = registrySide("native-lkmm", "lkmm");
         // Ablations are deliberately-broken variants and stay out of
         // the registry: only the fuzzer should ever construct them.
-        o.b = modelSide("ablated-" + knob,
+        o.b = modelSide("ablated-" + knob, "ablated:" + knob,
                         std::make_shared<LkmmModel>(*cfg));
         return o;
     }
@@ -216,7 +199,10 @@ evalSidePayload(const OracleSide &side, const Program &prog,
                 const OracleOptions &opts)
 {
     try {
-        const Verdict v = side.eval(prog, opts.engine, opts.seed);
+        EngineConfig engine = opts.engine;
+        if (!side.engineMode.empty())
+            engine.setMode(side.engineMode);
+        const Verdict v = side.eval(prog, engine, opts.seed);
         return std::string("ok ") + verdictName(v);
     } catch (const std::exception &e) {
         return std::string("err ") +
@@ -226,12 +212,14 @@ evalSidePayload(const OracleSide &side, const Program &prog,
 
 /** evalSidePayload's answer decoded; nullopt for any other text. */
 std::optional<SideOutcome>
-decodePayload(const std::string &payload)
+decodePayload(std::string_view payload)
 {
+    const std::size_t space = payload.find(' ');
+    const std::string_view tag = payload.substr(0, space);
+    const std::string rest(space == std::string_view::npos
+                               ? std::string_view()
+                               : payload.substr(space + 1));
     SideOutcome out;
-    std::istringstream ss(payload);
-    std::string tag, rest;
-    ss >> tag >> rest;
     if (tag == "ok") {
         out.kind = SideOutcome::Kind::Ok;
         out.verdict = verdictFromName(rest).value_or(Verdict::Unknown);
@@ -256,6 +244,13 @@ isStructuredReject(const SideOutcome &o)
             o.detail == statusCodeName(StatusCode::BudgetExceeded));
 }
 
+/** A crash, a timeout, or an error other than a structured rejection. */
+bool
+isHardFailure(const SideOutcome &o)
+{
+    return o.kind != SideOutcome::Kind::Ok && !isStructuredReject(o);
+}
+
 } // namespace
 
 bool
@@ -267,6 +262,27 @@ usesRcu(const Program &prog)
     }
     return false;
 }
+
+namespace
+{
+
+/**
+ * Does runOracle compare the oracle's sides on prog?  False for a
+ * Subset oracle on a forall test, whose inclusion direction reverses
+ * under forall, and for an RCU-unsound oracle on a program that uses
+ * RCU.
+ */
+bool
+applies(const Oracle &oracle, const Program &prog)
+{
+    if (oracle.mode == Oracle::Mode::Subset &&
+        prog.quantifier != Quantifier::Exists) {
+        return false;
+    }
+    return oracle.rcuSound || !usesRcu(prog);
+}
+
+} // namespace
 
 std::vector<Oracle>
 makeOracles(const std::string &spec, const std::string &catModelDir)
@@ -340,53 +356,159 @@ constexpr const char *kBadRequest = "bad-request";
 /** Grace a retiring side worker gets to exit at EOF. */
 constexpr std::chrono::milliseconds kRetireGrace{500};
 
+/** Parse the decimal number at the front of s, and drop it from s. */
+template <typename T>
+bool
+takeNumber(std::string_view &s, T &out)
+{
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
+    if (ec != std::errc())
+        return false;
+    s.remove_prefix(static_cast<std::size_t>(end - s.data()));
+    return true;
+}
+
 /**
- * Worker side of one request, "<side index> <seed>\n<litmus text>":
- * evalSidePayload's answer, or kBadRequest.  The sides of one
- * candidate arrive in a row, so the last text parsed is kept.
+ * Worker side of one request, "<seed> <evaluation>...\n<litmus
+ * text>": one line "<ns> <answer>" per evaluation, in request order,
+ * where the answer is evalSidePayload's and ns the nanoseconds it
+ * took; or kBadRequest.
  */
 std::string
-answerSide(const std::vector<const OracleSide *> &sides,
-           const OracleOptions &base, const std::string &request,
-           std::string &lastSource, std::optional<Program> &lastProg)
+answerRequest(const OracleSides &sides, const OracleOptions &base,
+              const std::string &request)
 {
     const std::size_t newline = request.find('\n');
     if (newline == std::string::npos)
         return kBadRequest;
-    std::istringstream header(request.substr(0, newline));
-    std::size_t index = 0;
-    std::uint64_t seed = 0;
-    if (!(header >> index >> seed) || index >= sides.size())
-        return kBadRequest;
-    const std::string_view source =
-        std::string_view(request).substr(newline + 1);
-    if (!lastProg || source != lastSource) {
-        lastProg.reset();
-        try {
-            lastProg = parseLitmus(std::string(source));
-        } catch (const std::exception &) {
-            // The campaign printed this text from a valid program:
-            // a text that does not parse back is a printer fault,
-            // for the one-shot re-run to judge.
-            return kBadRequest;
-        }
-        lastSource = source;
-    }
+    std::string_view header = std::string_view(request).substr(0, newline);
     OracleOptions opts = base;
-    opts.seed = seed;
-    return evalSidePayload(*sides[index], *lastProg, opts);
+    if (!takeNumber(header, opts.seed))
+        return kBadRequest;
+    std::vector<std::size_t> evals;
+    while (!header.empty()) {
+        std::size_t e = 0;
+        if (header.front() != ' ')
+            return kBadRequest;
+        header.remove_prefix(1);
+        if (!takeNumber(header, e) || e >= sides.size())
+            return kBadRequest;
+        evals.push_back(e);
+    }
+    std::optional<Program> prog;
+    try {
+        prog = parseLitmus(request.substr(newline + 1));
+    } catch (const std::exception &) {
+        // The campaign printed this text from a valid program: a
+        // text that does not parse back is a printer fault, for the
+        // one-shot confirmation to judge.
+        return kBadRequest;
+    }
+    std::string reply;
+    for (const std::size_t e : evals) {
+        const auto start = std::chrono::steady_clock::now();
+        const std::string answer = evalSidePayload(sides.side(e), *prog, opts);
+        const std::chrono::nanoseconds took =
+            std::chrono::steady_clock::now() - start;
+        reply += std::to_string(took.count());
+        reply += ' ';
+        reply += answer;
+        reply += '\n';
+    }
+    return reply;
+}
+
+/**
+ * The outcomes in a worker's reply to `count` evaluations; nullopt
+ * for a reply that does not decode or that reports a side slower
+ * than `deadline` (0 = none).
+ */
+std::optional<std::vector<SideOutcome>>
+decodeReply(std::string_view reply, std::size_t count,
+            std::chrono::nanoseconds deadline)
+{
+    std::vector<SideOutcome> out;
+    while (!reply.empty()) {
+        const std::size_t eol = reply.find('\n');
+        if (eol == std::string_view::npos)
+            return std::nullopt;
+        std::string_view line = reply.substr(0, eol);
+        reply.remove_prefix(eol + 1);
+        std::int64_t took = 0;
+        if (!takeNumber(line, took) || line.empty() || line.front() != ' ')
+            return std::nullopt;
+        if (deadline.count() > 0 && took > deadline.count())
+            return std::nullopt;
+        std::optional<SideOutcome> outcome = decodePayload(line.substr(1));
+        if (!outcome)
+            return std::nullopt;
+        out.push_back(std::move(*outcome));
+    }
+    if (out.size() != count)
+        return std::nullopt;
+    return out;
 }
 
 } // namespace
 
+OracleSides::OracleSides(const std::vector<Oracle> &oracles,
+                         const EngineConfig &engine)
+    : oracles_(oracles)
+{
+    // Evaluation e is keys[e], "<model>@<engine mode>"; a side
+    // without a model is an evaluation of its own.
+    std::vector<std::string> keys;
+    for (const Oracle &o : oracles) {
+        for (const OracleSide *side : {&o.a, &o.b}) {
+            const std::string key =
+                side->model + "@" +
+                (side->engineMode.empty() ? engine.modeName()
+                                          : side->engineMode);
+            std::size_t e = static_cast<std::size_t>(
+                std::find(keys.begin(), keys.end(), key) - keys.begin());
+            if (side->model.empty() || e == keys.size()) {
+                e = keys.size();
+                keys.push_back(key);
+                first_.push_back(side);
+            }
+            of_.push_back(e);
+        }
+    }
+}
+
+std::size_t
+OracleSides::evaluationOf(const OracleSide &side) const
+{
+    for (std::size_t k = 0; k < oracles_.size(); ++k) {
+        if (&side == &oracles_[k].a)
+            return of_[2 * k];
+        if (&side == &oracles_[k].b)
+            return of_[2 * k + 1];
+    }
+    throw StatusError(Status(StatusCode::Internal,
+                             "side " + side.label +
+                                 " is not in the oracle set"));
+}
+
+std::vector<std::size_t>
+OracleSides::needed(const Program &prog) const
+{
+    std::vector<std::size_t> out;
+    for (std::size_t k = 0; k < oracles_.size(); ++k) {
+        if (!applies(oracles_[k], prog))
+            continue;
+        for (const std::size_t e : {of_[2 * k], of_[2 * k + 1]}) {
+            if (std::find(out.begin(), out.end(), e) == out.end())
+                out.push_back(e);
+        }
+    }
+    return out;
+}
+
 SideWorker::SideWorker(const std::vector<Oracle> &oracles,
                        const OracleOptions &opts)
-    : opts_(opts)
+    : oracles_(oracles), sides_(oracles, opts.engine), opts_(opts)
 {
-    for (const Oracle &o : oracles) {
-        sides_.push_back(&o.a);
-        sides_.push_back(&o.b);
-    }
 }
 
 SideWorker::~SideWorker()
@@ -395,56 +517,85 @@ SideWorker::~SideWorker()
         child_->retire(kRetireGrace);
 }
 
-SideOutcome
-SideWorker::run(const OracleSide &side, const Program &prog,
-                const std::string &source, std::uint64_t seed)
+std::vector<std::optional<Finding>>
+SideWorker::run(const Program &prog, const std::string &source,
+                std::uint64_t seed)
 {
-    const auto it = std::find(sides_.begin(), sides_.end(), &side);
-    if (it == sides_.end()) {
-        throw StatusError(Status(StatusCode::Internal,
-                                 "side " + side.label +
-                                     " is not in the worker's oracle set"));
-    }
     OracleOptions opts = opts_;
     opts.seed = seed;
+    const std::vector<std::size_t> evals = sides_.needed(prog);
+    // outcome[e]: evaluation e's outcome, once known.
+    std::vector<std::optional<SideOutcome>> outcome(sides_.size());
+    bool failed = false;
+    if (!opts.isolate) {
+        for (const std::size_t e : evals)
+            outcome[e] = runSide(sides_.side(e), prog, opts);
+    } else if (!evals.empty()) {
+        std::optional<std::vector<SideOutcome>> reply =
+            request(evals, source, seed);
+        failed = !reply;
+        for (std::size_t k = 0; reply && k < evals.size(); ++k)
+            outcome[evals[k]] = std::move((*reply)[k]);
+    }
 
+    // After a failed request no outcome is known.  Inputs are
+    // deterministic, so a fresh one-shot child judges each side
+    // runOracle asks for, once per evaluation, and only a hard
+    // failure it reproduces becomes a finding.
+    const SideEval eval = [&](const OracleSide &side) {
+        std::optional<SideOutcome> &known = outcome[sides_.evaluationOf(side)];
+        if (!known)
+            known = runSide(side, prog, opts);
+        return *known;
+    };
+    std::vector<std::optional<Finding>> findings;
+    for (const Oracle &oracle : oracles_)
+        findings.push_back(runOracle(oracle, prog, eval));
+    if (failed &&
+        std::none_of(outcome.begin(), outcome.end(),
+                     [](const std::optional<SideOutcome> &o) {
+                         return o && isHardFailure(*o);
+                     }))
+        ++unconfirmedDeaths_;
+    return findings;
+}
+
+std::optional<std::vector<SideOutcome>>
+SideWorker::request(const std::vector<std::size_t> &evals,
+                    const std::string &source, std::uint64_t seed)
+{
     if (!child_) {
         // Forked from the one thread that owns this worker, while
         // other pool threads may run; the body takes no lock another
-        // thread can hold (DESIGN.md "Fork safety"), and the state
-        // it keeps lives only in the child.
+        // thread can hold (DESIGN.md "Fork safety").
         child_ = subprocess::Child::spawn([this](int fd) {
-            std::string lastSource;
-            std::optional<Program> lastProg;
             return channel::serveFrames(
-                fd, [&](const std::string &request) {
-                    return answerSide(sides_, opts_, request, lastSource,
-                                      lastProg);
+                fd, [this](const std::string &request) {
+                    return answerRequest(sides_, opts_, request);
                 });
         });
     }
+    std::string request = std::to_string(seed);
+    for (const std::size_t e : evals) {
+        request += ' ';
+        request += std::to_string(e);
+    }
+    request += '\n';
+    request += source;
     std::optional<std::chrono::steady_clock::time_point> deadline;
-    if (opts.deadline.count() > 0)
-        deadline = std::chrono::steady_clock::now() + opts.deadline;
-    const std::string request = std::to_string(it - sides_.begin()) +
-        " " + std::to_string(seed) + "\n" + source;
+    if (opts_.deadline.count() > 0) {
+        deadline = std::chrono::steady_clock::now() +
+                   opts_.deadline * static_cast<std::int64_t>(evals.size());
+    }
+    ++requests_;
     const channel::Reply reply = channel::call(*child_, request, deadline);
     if (reply.frame) {
-        if (auto out = decodePayload(*reply.frame))
-            return *out;
+        if (auto out = decodeReply(*reply.frame, evals.size(), opts_.deadline))
+            return out;
         channel::reap(*child_);
     }
     child_.reset();
-
-    // The worker died, overran or could not answer.  Inputs are
-    // deterministic, so a fresh one-shot child is the judge: its
-    // outcome is the side's, and only a hard failure it reproduces
-    // becomes a finding.
-    const SideOutcome confirmed = runSide(side, prog, opts);
-    if (confirmed.kind == SideOutcome::Kind::Ok ||
-        isStructuredReject(confirmed))
-        ++unconfirmedDeaths_;
-    return confirmed;
+    return std::nullopt;
 }
 
 std::string
@@ -495,12 +646,7 @@ runOracle(const Oracle &oracle, const Program &prog,
 std::optional<Finding>
 runOracle(const Oracle &oracle, const Program &prog, const SideEval &eval)
 {
-    // The Subset inclusion direction reverses under forall; skip.
-    if (oracle.mode == Oracle::Mode::Subset &&
-        prog.quantifier != Quantifier::Exists) {
-        return std::nullopt;
-    }
-    if (!oracle.rcuSound && usesRcu(prog))
+    if (!applies(oracle, prog))
         return std::nullopt;
 
     const SideOutcome oa = eval(oracle.a);

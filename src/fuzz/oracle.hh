@@ -18,14 +18,24 @@
  * segfaults, aborts, or hangs becomes a finding attributed to that
  * side's label (the stack-less "phase tag" of the triage signature)
  * instead of killing the campaign.  runSide forks one one-shot child
- * per side.  A campaign evaluates its sides in persistent
- * SideWorkers instead, one per pool thread, and lets a fresh
- * one-shot child confirm every worker death: inputs are
- * deterministic, so only a failure that child reproduces is a
- * finding.  Unknown verdicts (budget truncation) are inconclusive
- * and never produce findings, and Subset oracles only apply to
- * exists-quantified tests (the inclusion direction reverses under
- * forall).
+ * per side; runOracle and runOracles built on it are the reference
+ * for --replay, minimization and confirmation.
+ *
+ * A campaign evaluates a candidate through a SideWorker instead.  Two
+ * sides are the same evaluation when they name the same model and
+ * resolve to the same engine mode (OracleSides), so a candidate needs
+ * each distinct evaluation once: under the default engine,
+ * rf-first-lkmm and mono-sc-lkmm's native-lkmm are native-vs-cat's
+ * native-lkmm.  A sandboxed SideWorker sends those evaluations and
+ * the candidate's printed text to one persistent worker process in
+ * one request and gets every outcome in one reply.  Inputs are
+ * deterministic, so when the worker dies, overruns or answers
+ * garbled, nothing of that request is used: a fresh one-shot child
+ * confirms each side runOracle asks for, once per evaluation, and
+ * only a failure such a child reproduces is a finding.  Unknown
+ * verdicts (budget truncation) are inconclusive and never produce
+ * findings, and Subset oracles only apply to exists-quantified tests
+ * (the inclusion direction reverses under forall).
  */
 
 #ifndef LKMM_FUZZ_ORACLE_HH
@@ -52,6 +62,22 @@ struct OracleSide
 {
     /** Phase tag used in failure signatures, e.g. "native-lkmm". */
     std::string label;
+    /**
+     * What the side evaluates: "registry:<name>", "cat:<path>",
+     * "ablated:<knob>" or "machine:<config>".  Sides with equal
+     * models and engine modes are one evaluation (OracleSides); a
+     * side with an empty model is an evaluation of its own.
+     */
+    std::string model;
+    /**
+     * Engine mode the side pins ("brute" or "rf-first") over the
+     * campaign's --engine: an engine-differential oracle's two sides
+     * run different enumeration strategies over the same model.
+     * Empty = the campaign's mode.  Budgets and limits from the
+     * campaign config still apply.
+     */
+    std::string engineMode;
+    /** The verdict, given the campaign engine with engineMode set. */
     std::function<Verdict(const Program &, const EngineConfig &,
                           std::uint64_t seed)>
         eval;
@@ -113,9 +139,10 @@ std::string knownOracleSpec();
 struct OracleOptions
 {
     /**
-     * Watchdog deadline for each isolated side (0 = none).  The only
-     * sandbox cap: rlimits are per process, so in a persistent
-     * worker RLIMIT_CPU would add up across sides.
+     * Watchdog deadline for each isolated side (0 = none); a
+     * SideWorker request gets it once per evaluation it carries.
+     * The only sandbox cap: rlimits are per process, so in a
+     * persistent worker RLIMIT_CPU would add up across sides.
      */
     std::chrono::nanoseconds deadline{0};
     /** Engine selection and enumeration budget for each side. */
@@ -149,56 +176,6 @@ struct SideOutcome
  */
 SideOutcome runSide(const OracleSide &side, const Program &prog,
                     const OracleOptions &opts);
-
-/**
- * The persistent sandbox for the sides of one oracle set: one forked
- * worker evaluates side after side, so a campaign forks once per
- * oracle set instead of once per side.  Not thread-safe: a parallel
- * campaign gives each pool thread a worker of its own.  Each request
- * carries the side's index in the set, the seed and the candidate's
- * printed litmus text; the worker parses each distinct text once and
- * answers with runSide's payload.
- *
- * A worker that crashes, overruns opts.deadline, or answers (or is
- * sent) something it cannot handle is reaped, and the side is
- * re-run in a fresh one-shot child through runSide.  Only that
- * child's outcome is returned, so crash and timeout signatures are
- * the one-shot path's.  The next run() forks a fresh worker.
- */
-class SideWorker
-{
-  public:
-    /**
-     * The worker, forked on first use, holds its own copy of
-     * `oracles` and of opts' engine and deadline.  `oracles` must
-     * outlive this object; run() takes only sides of it.
-     */
-    SideWorker(const std::vector<Oracle> &oracles,
-               const OracleOptions &opts);
-    /** Retire the live worker: EOF on its channel, then reap. */
-    ~SideWorker();
-    SideWorker(const SideWorker &) = delete;
-    SideWorker &operator=(const SideWorker &) = delete;
-
-    /**
-     * Evaluate `side` on prog, whose printLitmus text is `source`,
-     * with the operational-machine seed `seed`.
-     */
-    SideOutcome run(const OracleSide &side, const Program &prog,
-                    const std::string &source, std::uint64_t seed);
-
-    /**
-     * Worker deaths the one-shot re-run did not reproduce: its
-     * outcome was a verdict or a structured rejection.
-     */
-    std::uint64_t unconfirmedDeaths() const { return unconfirmedDeaths_; }
-
-  private:
-    std::vector<const OracleSide *> sides_;
-    OracleOptions opts_;
-    std::optional<subprocess::Child> child_;
-    std::uint64_t unconfirmedDeaths_ = 0;
-};
 
 /** A reproducible disagreement, crash, hang, or internal error. */
 struct Finding
@@ -235,6 +212,114 @@ std::optional<Finding> runOracle(const Oracle &oracle,
 std::vector<Finding> runOracles(const std::vector<Oracle> &oracles,
                                 const Program &prog,
                                 const OracleOptions &opts);
+
+/**
+ * The distinct evaluations behind an oracle set's sides under one
+ * campaign engine.  Two sides are the same evaluation when they have
+ * the same model and resolve to the same engine mode (the side's
+ * pinned mode, else the campaign's): their outcomes are equal, so a
+ * candidate needs each evaluation once.  Evaluations are numbered
+ * from 0 in the order of their first side in the set.
+ */
+class OracleSides
+{
+  public:
+    /** `oracles` must outlive this object. */
+    OracleSides(const std::vector<Oracle> &oracles,
+                const EngineConfig &engine);
+
+    /** Number of distinct evaluations. */
+    std::size_t size() const { return first_.size(); }
+    /** The first side of the set that performs evaluation e. */
+    const OracleSide &side(std::size_t e) const { return *first_[e]; }
+    /**
+     * The evaluation `side`, one of the set's sides, performs.
+     * @throws StatusError (Internal) for a side from another set.
+     */
+    std::size_t evaluationOf(const OracleSide &side) const;
+    /**
+     * The evaluations that the oracles applicable to prog ask for,
+     * each once, in the order runOracle asks for them.
+     */
+    std::vector<std::size_t> needed(const Program &prog) const;
+
+  private:
+    const std::vector<Oracle> &oracles_;
+    /** Evaluation of oracle k's side a at 2k, side b at 2k + 1. */
+    std::vector<std::size_t> of_;
+    std::vector<const OracleSide *> first_;
+};
+
+/**
+ * Runs one oracle set on candidate after candidate for a campaign,
+ * each distinct evaluation (OracleSides) once per candidate, and
+ * reads the outcomes to runOracle through its SideEval.  Not
+ * thread-safe: a parallel campaign gives each pool thread a
+ * SideWorker of its own.
+ *
+ * With opts.isolate, one persistent forked worker gets one request
+ * per candidate: the seed, the evaluations the candidate's
+ * applicable oracles need, and its printed litmus text.  The worker
+ * parses the text and answers every outcome, with the time each
+ * took, in one reply.  Without isolate the same evaluations run in
+ * this process, and nothing is forked.
+ *
+ * A request fails when the worker dies, overruns the watchdog (the
+ * per-side deadline times the evaluations the request carries),
+ * answers something that does not decode, or reports a side slower
+ * than the per-side deadline.  Then no outcome of the request is
+ * used and the worker is reaped; each side runOracle asks for is
+ * confirmed by runSide in a fresh one-shot child, once per
+ * evaluation, so crash and timeout signatures are the one-shot
+ * path's.  The next request forks a fresh worker.
+ */
+class SideWorker
+{
+  public:
+    /**
+     * The worker, forked on first use, holds its own copy of
+     * `oracles` and of opts' engine and deadline.  `oracles` must
+     * outlive this object.
+     */
+    SideWorker(const std::vector<Oracle> &oracles,
+               const OracleOptions &opts);
+    /** Retire the live worker: EOF on its channel, then reap. */
+    ~SideWorker();
+    SideWorker(const SideWorker &) = delete;
+    SideWorker &operator=(const SideWorker &) = delete;
+
+    /**
+     * runOracle's result for every oracle of the set, in set order,
+     * on prog, whose printLitmus text is `source`, with the
+     * operational-machine seed `seed`.
+     */
+    std::vector<std::optional<Finding>>
+    run(const Program &prog, const std::string &source,
+        std::uint64_t seed);
+
+    /** Requests sent to worker processes (0 without isolate). */
+    std::uint64_t requests() const { return requests_; }
+
+    /**
+     * Failed requests no confirmation reproduced: every side runOracle
+     * asked for gave a verdict or a structured rejection in its
+     * one-shot child.
+     */
+    std::uint64_t unconfirmedDeaths() const { return unconfirmedDeaths_; }
+
+  private:
+    /** The outcomes of `evals` in one request; nullopt when it failed. */
+    std::optional<std::vector<SideOutcome>>
+    request(const std::vector<std::size_t> &evals,
+            const std::string &source, std::uint64_t seed);
+
+    const std::vector<Oracle> &oracles_;
+    OracleSides sides_;
+    OracleOptions opts_;
+    std::optional<subprocess::Child> child_;
+    std::uint64_t requests_ = 0;
+    std::uint64_t unconfirmedDeaths_ = 0;
+};
 
 } // namespace lkmm::fuzz
 

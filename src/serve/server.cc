@@ -125,15 +125,18 @@ Server::Server(ServeOptions opts)
     }
 
     // Fail configuration errors here, before the daemon is ready:
-    // the default model spec, the cache journal, then the socket.
+    // the default model spec before anything is forked, then the
+    // cache journal, then the socket.
     validateSpec(opts_.model);
     engineJson_ = json::Value(opts_.engine.toJson()).serialize();
-    cache_.emplace(opts_.cache);
     // The isolated worker processes, with the count-based poison-pill
     // quarantine in front of them.  Spawn failures don't throw — the
     // pool starts degraded and its supervisor heals it with backoff.
     // Constructed before start() so the initial forks happen while
-    // this process is still single-threaded.
+    // this process is still single-threaded, and before the journal
+    // replay, so they copy none of the replayed cache: the workers
+    // never use it.  A later throw destroys the pool, which retires
+    // its workers.
     WorkerOptions wo;
     wo.count = opts_.workers == 0 ? ThreadPool::hardwareThreads()
                                   : opts_.workers;
@@ -142,6 +145,7 @@ Server::Server(ServeOptions opts)
     wo.defaultDeadline = opts_.workerDeadline;
     wo.respawn = opts_.workerRespawn;
     workerPool_.emplace(wo);
+    cache_.emplace(opts_.cache);
 
     listenFd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (listenFd_ < 0) {

@@ -5,11 +5,12 @@
  * same buckets on every run, journals resume exactly, and a
  * minimized repro re-triggers its finding when replayed standalone —
  * the full reproducibility contract of tools/lkmm-fuzz.  Sandboxed
- * campaigns run their sides in one persistent worker fed with
- * printed litmus text: the text carries everything a side sees, the
- * worker's crashes and hangs give the one-shot path's findings, a
- * death only the worker suffers is counted instead, and no child
- * outlives the campaign.
+ * campaigns send one persistent worker one request per candidate,
+ * with its printed litmus text: the text carries everything a side
+ * sees, the worker's crashes and hangs give the one-shot path's
+ * findings, a death only the worker suffers is counted once per
+ * request instead, the reports equal the in-process campaign's, and
+ * no child outlives the campaign.
  */
 
 #include <sys/wait.h>
@@ -19,8 +20,10 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -293,9 +296,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SideTransport,
  * persistent worker, one set per pool thread.  The fault plans are
  * armed in this process: the workers and every one-shot child
  * inherit them over fork, and the campaign itself never enumerates,
- * so its own hit counters stay at zero.
+ * so its own hit counters stay at zero.  The parameter is a campaign
+ * seed, for the tests that sweep seeds.
  */
-class SandboxedCampaign : public ::testing::Test
+class SandboxedCampaign : public ::testing::TestWithParam<std::uint64_t>
 {
   protected:
     void TearDown() override { faultinject::reset(); }
@@ -440,6 +444,97 @@ TEST_F(SandboxedCampaign, NoChildOutlivesTheCampaign)
         expectNoChildren();
     }
 }
+
+TEST_F(SandboxedCampaign, OneRequestPerCandidate)
+{
+    // Seed 1 draws 394 candidates in 500 iterations, and each needs
+    // native-vs-cat.  One request each carries every side; a request
+    // per side would be 2,140.
+    const FuzzReport report = runFuzz(sandboxedOpts(500));
+    EXPECT_EQ(report.iters, 500u);
+    EXPECT_EQ(report.triage.totalFindings(), 0u);
+    EXPECT_EQ(report.workerRequests, 394u);
+
+    FuzzOptions inProcess = sandboxedOpts(500);
+    inProcess.oracle.isolate = false;
+    EXPECT_EQ(runFuzz(inProcess).workerRequests, 0u);
+    expectNoChildren();
+}
+
+TEST_F(SandboxedCampaign, MidRequestDeathIsConfirmedOncePerEvaluation)
+{
+    // fuzz-1 is RCU-free and exists-quantified, so all three default
+    // oracles apply (fuzz-2 uses RCU, which skips mono-sc-lkmm).  Its
+    // request carries native-lkmm, cat-lkmm, brute-lkmm and
+    // native-sc, each passing "enumerate" once, so the worker dies on
+    // brute-lkmm.  Every side the oracles then ask for is re-run in a
+    // one-shot child that passes the site once and finishes: no
+    // finding, and the one failed request is counted once.  With a
+    // request per side, the worker would die on side 3 and its
+    // successor on side 6: two deaths.
+    const std::optional<Program> prog =
+        candidateFor(1, 1, builtinSeedPrograms());
+    ASSERT_TRUE(prog.has_value());
+    ASSERT_FALSE(usesRcu(*prog));
+    ASSERT_EQ(prog->quantifier, Quantifier::Exists);
+    faultinject::setPlan(
+        faultinject::FaultPlan::parse("enumerate:3:crash"));
+    faultinject::setFilter(prog->name);
+
+    const FuzzReport report = runFuzz(sandboxedOpts(kTarget + 4));
+    EXPECT_EQ(report.iters, kTarget + 4);
+    EXPECT_EQ(report.triage.totalFindings(), 0u);
+    EXPECT_EQ(report.unconfirmedDeaths, 1u);
+    expectNoChildren();
+}
+
+TEST_P(SandboxedCampaign, ReportsEqualInProcess)
+{
+    // Merged sides and batched requests are invisible in the report:
+    // with a seeded bug that diverges on RCU candidates, the
+    // sandboxed summary is the in-process one, byte for byte.
+    FuzzOptions opts = sandboxedOpts(300);
+    opts.seed = GetParam();
+    opts.oracles = "native-vs-cat,rf-first-vs-brute,mono-sc-lkmm,"
+                   "native-vs-ablated:rcu-axiom";
+    const FuzzReport sandboxed = runFuzz(opts);
+    opts.oracle.isolate = false;
+    const FuzzReport inProcess = runFuzz(opts);
+
+    EXPECT_GT(sandboxed.triage.totalFindings(), 0u);
+    EXPECT_EQ(sandboxed.unconfirmedDeaths, 0u);
+    EXPECT_EQ(toJson(sandboxed).serialize(), toJson(inProcess).serialize());
+    expectNoChildren();
+
+    // Both read what the one-shot reference, every side evaluated on
+    // its own, finds candidate by candidate: the same buckets, counts
+    // and first iterations.
+    const std::vector<Oracle> oracles = makeOracles(opts.oracles);
+    const std::vector<Program> pool = builtinSeedPrograms();
+    std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> reference;
+    for (std::uint64_t iter = 0; iter < opts.maxIters; ++iter) {
+        const std::optional<Program> cand =
+            candidateFor(opts.seed, iter, pool);
+        if (!cand)
+            continue;
+        opts.oracle.seed = mixSeed(opts.seed, iter);
+        for (const Finding &f : runOracles(oracles, *cand, opts.oracle))
+            ++reference.try_emplace(f.signature(), 0, iter).first->second.first;
+    }
+    ASSERT_EQ(sandboxed.triage.buckets().size(), reference.size());
+    for (const auto &[sig, bucket] : sandboxed.triage.buckets()) {
+        const auto it = reference.find(sig);
+        ASSERT_NE(it, reference.end()) << sig;
+        EXPECT_EQ(bucket.count, it->second.first) << sig;
+        EXPECT_EQ(bucket.representative.iter, it->second.second) << sig;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, SandboxedCampaign, ::testing::Values(1, 2, 7919),
+    [](const ::testing::TestParamInfo<std::uint64_t> &info) {
+        return std::to_string(info.param);
+    });
 
 TEST(TriageDb, DeduplicatesBySignature)
 {

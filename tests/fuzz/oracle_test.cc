@@ -1,20 +1,25 @@
 /**
  * @file
  * The differential oracles: agreement stays silent, seeded model
- * ablations diverge, RCU-unsound comparisons are skipped, and a side
+ * ablations diverge, RCU-unsound comparisons are skipped, a side
  * that crashes or hangs becomes a finding instead of killing the
- * campaign (the crash-isolation contract from the subprocess layer).
+ * campaign (the crash-isolation contract from the subprocess layer),
+ * a side the worker runs past the deadline is a timeout too, and
+ * sides that repeat an evaluation share it.
  */
 
 #include <chrono>
 #include <optional>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "base/faultinject.hh"
 #include "base/status.hh"
 #include "fuzz/oracle.hh"
+#include "litmus/printer.hh"
 #include "lkmm/catalog.hh"
 
 namespace lkmm::fuzz
@@ -148,6 +153,35 @@ TEST_F(OracleTest, HangingSideBecomesTimeoutFinding)
     EXPECT_EQ(finding->kind, "timeout");
 }
 
+TEST_F(OracleTest, WorkerSideSlowerThanTheDeadlineIsATimeoutFinding)
+{
+    // The request's watchdog is the per-side deadline times its two
+    // sides, so the slow side finishes inside it; the worker reports
+    // the side's time, and a side past the per-side deadline is
+    // re-run one-shot, where it is the one-shot path's timeout.
+    std::vector<Oracle> oracles(1);
+    oracles[0].name = "native-vs-slow";
+    oracles[0].a = makeOracles("native-vs-cat")[0].a;
+    oracles[0].b.label = "slow";
+    oracles[0].b.model = "test:slow";
+    oracles[0].b.eval = [](const Program &, const EngineConfig &,
+                           std::uint64_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        return Verdict::Allow;
+    };
+    OracleOptions opts;
+    opts.deadline = std::chrono::milliseconds(200);
+    SideWorker worker(oracles, opts);
+    const Program prog = mp();
+    const auto findings = worker.run(prog, printLitmus(prog), 1);
+    ASSERT_EQ(findings.size(), 1u);
+    ASSERT_TRUE(findings[0]);
+    EXPECT_EQ(findings[0]->signature(),
+              "native-vs-slow/timeout/slow:deadline");
+    EXPECT_EQ(worker.requests(), 1u);
+    EXPECT_EQ(worker.unconfirmedDeaths(), 0u);
+}
+
 TEST_F(OracleTest, SignatureIsStable)
 {
     Finding f;
@@ -156,6 +190,64 @@ TEST_F(OracleTest, SignatureIsStable)
     f.detail = "a=Allow b=Forbid";
     EXPECT_EQ(f.signature(),
               "native-vs-cat/diverge/a=Allow b=Forbid");
+}
+
+TEST(OracleSides, RepeatedSidesShareOneEvaluation)
+{
+    // The default set: native-vs-cat, rf-first-vs-brute, mono-sc-lkmm.
+    const std::vector<Oracle> oracles =
+        makeOracles("native-vs-cat,rf-first-vs-brute,mono-sc-lkmm");
+    const OracleSide &native = oracles[0].a;
+    const OracleSide &cat = oracles[0].b;
+    const OracleSide &rfFirst = oracles[1].a;
+    const OracleSide &brute = oracles[1].b;
+    const OracleSide &monoNative = oracles[2].b;
+
+    // Under the default engine (rf-first), rf-first-lkmm and
+    // mono-sc-lkmm's native-lkmm are native-vs-cat's native-lkmm.
+    const OracleSides sides(oracles, EngineConfig{});
+    EXPECT_EQ(sides.size(), 4u);
+    EXPECT_EQ(sides.evaluationOf(rfFirst), sides.evaluationOf(native));
+    EXPECT_EQ(sides.evaluationOf(monoNative), sides.evaluationOf(native));
+    EXPECT_NE(sides.evaluationOf(brute), sides.evaluationOf(native));
+    EXPECT_EQ(&sides.side(sides.evaluationOf(monoNative)), &native);
+
+    // RCU-free exists: every oracle applies, 4 evaluations in the
+    // order runOracle asks for them.  Forall drops the Subset
+    // oracle, and so does RCU (mono-sc-lkmm is RCU-unsound); neither
+    // drops an evaluation native-vs-cat still needs.
+    Program prog = sb();
+    ASSERT_FALSE(usesRcu(prog));
+    ASSERT_EQ(prog.quantifier, Quantifier::Exists);
+    EXPECT_EQ(sides.needed(prog),
+              (std::vector<std::size_t>{sides.evaluationOf(native),
+                                        sides.evaluationOf(cat),
+                                        sides.evaluationOf(brute),
+                                        sides.evaluationOf(oracles[2].a)}));
+    prog.quantifier = Quantifier::Forall;
+    EXPECT_EQ(sides.needed(prog).size(), 3u);
+    EXPECT_EQ(sides.needed(rcuMp()).size(), 3u);
+
+    // Under brute, native-lkmm is brute-lkmm, not rf-first-lkmm.
+    EngineConfig bruteEngine;
+    bruteEngine.setMode("brute");
+    const OracleSides underBrute(oracles, bruteEngine);
+    EXPECT_EQ(underBrute.size(), 4u);
+    EXPECT_EQ(underBrute.evaluationOf(brute), underBrute.evaluationOf(native));
+    EXPECT_NE(underBrute.evaluationOf(rfFirst),
+              underBrute.evaluationOf(native));
+
+    // A cat model and an ablated native model are other models.
+    const std::vector<Oracle> others =
+        makeOracles("native-vs-cat,native-vs-ablated:rcu-axiom");
+    for (const EngineConfig &engine : {EngineConfig{}, bruteEngine}) {
+        SCOPED_TRACE(engine.modeName());
+        const OracleSides set(others, engine);
+        EXPECT_EQ(set.size(), 3u);
+        EXPECT_EQ(set.evaluationOf(others[1].a), set.evaluationOf(others[0].a));
+        EXPECT_NE(set.evaluationOf(others[0].b), set.evaluationOf(others[0].a));
+        EXPECT_NE(set.evaluationOf(others[1].b), set.evaluationOf(others[0].a));
+    }
 }
 
 } // namespace

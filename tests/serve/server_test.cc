@@ -2,7 +2,8 @@
  * @file
  * End-to-end tests for the lkmm-serve daemon core (serve/server):
  * cold-vs-warm byte identity across every registry model, warm
- * restart from the journal, admission control and deadline sheds
+ * restart from the journal, no worker left behind by a constructor
+ * that throws, admission control and deadline sheds
  * (always the sound Unknown, never a wrong verdict), per-client
  * fault isolation, and a multi-client stress run sized for TSan.
  *
@@ -15,14 +16,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "model/registry.hh"
@@ -552,6 +556,28 @@ TEST(Server, ClientVanishingMidFrameHurtsOnlyItself)
     EXPECT_EQ(ok.getString("status"), "ok") << ok.serialize();
     server.stop();
     EXPECT_GE(server.stats().disconnects, 1u);
+}
+
+TEST(Server, CacheOpenFailureLeavesNoWorkerBehind)
+{
+    // The workers are forked before the cache journal is opened, so
+    // a constructor that throws on the journal must retire them.  A
+    // directory cannot be opened as a journal.
+    ServeOptions opts;
+    opts.socketPath = socketPath("badcache");
+    opts.workers = 2;
+    opts.cache.path = ::testing::TempDir() + "serve_test_badcache.d";
+    std::filesystem::create_directories(opts.cache.path);
+    try {
+        Server server(opts);
+        ADD_FAILURE() << "a directory was opened as the cache journal";
+    } catch (const StatusError &e) {
+        EXPECT_EQ(e.status().code(), StatusCode::IoError) << e.what();
+    }
+    errno = 0;
+    EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+    EXPECT_EQ(errno, ECHILD);
+    std::filesystem::remove(opts.cache.path);
 }
 
 TEST(Server, UnknownModelSpecIsAnErrorNotACrash)

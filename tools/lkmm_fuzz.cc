@@ -68,9 +68,11 @@ usage()
         "\n"
         "sandbox/budgets:\n"
         "  By default one persistent worker process evaluates every\n"
-        "  oracle side.  A side it dies or hangs on is re-run in a\n"
-        "  fresh child, and only a failure that child repeats is a\n"
-        "  finding; the summary counts the deaths it did not repeat.\n"
+        "  oracle side: one request per candidate, each distinct\n"
+        "  side evaluation once.  When it dies or hangs, each side\n"
+        "  of that candidate is re-run in a fresh child, and only a\n"
+        "  failure such a child repeats is a finding; the summary\n"
+        "  counts the deaths no child repeated.\n"
         "  --no-isolate        evaluate oracles in-process (a crash\n"
         "                      kills the campaign)\n"
         "  --jobs N            evaluate N candidates concurrently\n"
@@ -79,7 +81,10 @@ usage()
         "                      own.  Findings and the journal stay in\n"
         "                      iteration order\n"
         "  --task-deadline-ms N  per-side watchdog deadline, the\n"
-        "                      only sandbox cap (default 10000)\n"
+        "                      only sandbox cap (default 10000); a\n"
+        "                      worker request gets N per side it\n"
+        "                      carries, and a side slower than N is\n"
+        "                      re-run in a fresh child\n"
         "  --engine-max-candidates (below) caps each side at 200000\n"
         "  candidates by default here.\n"
         "\n"
